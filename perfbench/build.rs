@@ -1,0 +1,17 @@
+//! Records the compiler version, so every result names the `rustc` that
+//! built the program it measured.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-env-changed=RUSTC");
+}
