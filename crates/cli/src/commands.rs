@@ -31,7 +31,6 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
             "resource",
             "key",
             "bypass",
-            "workers",
             "reactor-shards",
             "max-connections",
             "per-ip-cap",
@@ -39,7 +38,6 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
             "score",
             "max-batch",
             "lanes",
-            "verify-lanes",
             "memory-hard-above",
             "arena-mib",
             "trace-sample",
@@ -63,10 +61,22 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
     let score =
         ReputationScore::new(score).map_err(|e| CliError::usage(format!("--score: {e}")))?;
 
+    let max_batch = args.get_parsed::<usize>(
+        "max-batch",
+        aipow_core::DEFAULT_MAX_BATCH,
+        "a positive integer",
+    )?;
+    if max_batch == 0 {
+        return Err(CliError::usage("--max-batch must be at least 1"));
+    }
     let mut builder = FrameworkBuilder::new()
         .master_key(key)
         .model(FixedScoreModel::new(score))
-        .policy_boxed(policy);
+        .policy_boxed(policy)
+        .max_batch(max_batch);
+    if let Some(lanes) = lanes_flag(&args)? {
+        builder = builder.lanes(lanes);
+    }
     if let Some(threshold) = args.get("bypass") {
         let threshold: f64 = threshold
             .parse()
@@ -156,15 +166,6 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
         defaults.idle_timeout.as_secs(),
         "a whole number of seconds (0 disables idle reaping)",
     )?;
-    let max_batch = args.get_parsed::<usize>(
-        "max-batch",
-        aipow_core::DEFAULT_MAX_BATCH,
-        "a positive integer",
-    )?;
-    if max_batch == 0 {
-        return Err(CliError::usage("--max-batch must be at least 1"));
-    }
-    let lanes = lanes_flag(&args)?;
     let server = PowServer::start(
         &addr,
         Arc::clone(&framework),
@@ -175,8 +176,6 @@ pub fn serve(raw: &[String]) -> Result<(), CliError> {
             per_ip_connection_cap,
             idle_timeout: std::time::Duration::from_secs(idle_secs),
             reactor_shards,
-            max_batch,
-            lanes,
             ..Default::default()
         },
     )
@@ -636,69 +635,37 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Reads the verification lane-count knob. The documented flag is
-/// `--lanes` (one name across config, CLI, and `SolverOptions`);
-/// `--verify-lanes` remains accepted as a deprecated alias. When both are
-/// given they must agree.
+/// Reads `--lanes`, the verifier's lane width; `None` keeps hardware
+/// auto-detection.
 fn lanes_flag(args: &Args) -> Result<Option<usize>, CliError> {
-    let parse = |flag: &str, raw: &str| -> Result<usize, CliError> {
-        let lanes: usize = raw
-            .parse()
-            .map_err(|_| CliError::usage(format!("--{flag} expects an integer in [1,8]")))?;
-        if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
-            return Err(CliError::usage(format!(
-                "--{flag} must be within [1,{}]",
-                aipow_crypto::MAX_LANES
-            )));
-        }
-        Ok(lanes)
+    let Some(raw) = args.get("lanes") else {
+        return Ok(None);
     };
-    let canonical = args
-        .get("lanes")
-        .map(|raw| parse("lanes", raw))
-        .transpose()?;
-    let alias = args
-        .get("verify-lanes")
-        .map(|raw| parse("verify-lanes", raw))
-        .transpose()?;
-    match (canonical, alias) {
-        (Some(a), Some(b)) if a != b => Err(CliError::usage(
-            "--lanes and --verify-lanes (deprecated alias) disagree; pass only --lanes",
-        )),
-        (Some(a), _) => Ok(Some(a)),
-        (None, alias) => Ok(alias),
+    let lanes: usize = raw
+        .parse()
+        .map_err(|_| CliError::usage("--lanes expects an integer in [1,8]"))?;
+    if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
+        return Err(CliError::usage(format!(
+            "--lanes must be within [1,{}]",
+            aipow_crypto::MAX_LANES
+        )));
     }
+    Ok(Some(lanes))
 }
 
-/// Parses `--reactor-shards`, accepting `--workers` as a deprecated
-/// alias (the knob the threaded server had; on the reactor it means
-/// shard threads). `None` lets the server auto-size from the machine's
-/// parallelism.
+/// Reads `--reactor-shards`; `None` lets the server auto-size from the
+/// machine's parallelism.
 fn reactor_shards_flag(args: &Args) -> Result<Option<usize>, CliError> {
-    let parse = |flag: &str, raw: &str| -> Result<usize, CliError> {
-        let shards: usize = raw
-            .parse()
-            .map_err(|_| CliError::usage(format!("--{flag} expects a positive integer")))?;
-        if shards == 0 {
-            return Err(CliError::usage(format!("--{flag} must be at least 1")));
-        }
-        Ok(shards)
+    let Some(raw) = args.get("reactor-shards") else {
+        return Ok(None);
     };
-    let canonical = args
-        .get("reactor-shards")
-        .map(|raw| parse("reactor-shards", raw))
-        .transpose()?;
-    let alias = args
-        .get("workers")
-        .map(|raw| parse("workers", raw))
-        .transpose()?;
-    match (canonical, alias) {
-        (Some(a), Some(b)) if a != b => Err(CliError::usage(
-            "--reactor-shards and --workers (deprecated alias) disagree; pass only --reactor-shards",
-        )),
-        (Some(a), _) => Ok(Some(a)),
-        (None, alias) => Ok(alias),
+    let shards: usize = raw
+        .parse()
+        .map_err(|_| CliError::usage("--reactor-shards expects a positive integer"))?;
+    if shards == 0 {
+        return Err(CliError::usage("--reactor-shards must be at least 1"));
     }
+    Ok(Some(shards))
 }
 
 fn parse_key(hex: &str) -> Result<[u8; 32], CliError> {
@@ -765,38 +732,20 @@ mod tests {
     }
 
     #[test]
-    fn lanes_flag_parses_under_both_names() {
-        // Satellite knob unification: `--lanes` is the documented name;
-        // `--verify-lanes` stays accepted as a deprecated alias.
-        for flag in ["--lanes", "--verify-lanes"] {
-            let args = Args::parse(strings(&[flag, "4"]), &["lanes", "verify-lanes"], &[]).unwrap();
-            assert_eq!(lanes_flag(&args).unwrap(), Some(4), "{flag}");
-        }
-        let agree = Args::parse(
-            strings(&["--lanes", "2", "--verify-lanes", "2"]),
-            &["lanes", "verify-lanes"],
-            &[],
-        )
-        .unwrap();
-        assert_eq!(lanes_flag(&agree).unwrap(), Some(2));
-        let disagree = Args::parse(
-            strings(&["--lanes", "2", "--verify-lanes", "8"]),
-            &["lanes", "verify-lanes"],
-            &[],
-        )
-        .unwrap();
-        let err = lanes_flag(&disagree).unwrap_err();
-        assert_eq!(err.exit_code, 2);
-        assert!(err.message.contains("disagree"), "{}", err.message);
-    }
-
-    #[test]
-    fn serve_rejects_bad_lane_flags_under_both_names() {
-        for flag in ["--lanes", "--verify-lanes"] {
-            for bad in ["0", "9", "wide"] {
-                let err = serve(&strings(&[flag, bad])).unwrap_err();
-                assert_eq!(err.exit_code, 2, "{flag} {bad}: {err}");
-            }
+    fn serve_lane_and_batch_flags_are_validated() {
+        let lanes =
+            |tokens: &[&str]| lanes_flag(&Args::parse(strings(tokens), &["lanes"], &[]).unwrap());
+        assert_eq!(lanes(&["--lanes", "4"]).unwrap(), Some(4));
+        assert_eq!(lanes(&[]).unwrap(), None);
+        for flags in [
+            ["--lanes", "0"],
+            ["--lanes", "9"],
+            ["--lanes", "wide"],
+            ["--max-batch", "0"],
+            ["--max-batch", "big"],
+        ] {
+            let err = serve(&strings(&flags)).unwrap_err();
+            assert_eq!(err.exit_code, 2, "{flags:?}: {err}");
         }
     }
 

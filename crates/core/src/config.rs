@@ -1,127 +1,14 @@
-//! Declarative framework configuration.
+//! Settings for the online behavioral reputation loop.
 //!
-//! Everything an operator tunes — which policy, TTLs, caps, bypass — can be
-//! expressed as data and applied to a [`FrameworkBuilder`], so deployments
-//! can keep their admission posture in version-controlled config.
+//! The framework itself is configured through [`crate::FrameworkBuilder`];
+//! the online loop's settings live here so `aipow_net::ServerConfig` can
+//! carry them without `aipow-core` depending on the online crate.
 
-use crate::framework::FrameworkBuilder;
-use aipow_policy::registry;
-use aipow_pow::Difficulty;
-use aipow_trace::{TraceConfig, Tracer};
 use core::fmt;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// Serializable framework settings.
-///
-/// ```
-/// use aipow_core::FrameworkConfig;
-/// let config = FrameworkConfig {
-///     policy_spec: "policy3:eps=1.5".into(),
-///     ..Default::default()
-/// };
-/// let builder = config.apply()?; // still needs .model(..) and .master_key(..)
-/// # let _ = builder;
-/// # Ok::<(), aipow_core::config::ConfigError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct FrameworkConfig {
-    /// Policy spec: a registry shorthand (`policy1`, `policy3:eps=2.0`) or
-    /// DSL source (see [`aipow_policy::dsl`]).
-    pub policy_spec: String,
-    /// Seed for randomized policies.
-    pub policy_seed: u64,
-    /// Challenge TTL in milliseconds.
-    pub ttl_ms: u64,
-    /// Replay-guard capacity (entries).
-    pub replay_capacity: usize,
-    /// Maximum difficulty the verifier accepts (bits).
-    pub difficulty_cap_bits: u8,
-    /// Tolerated clock skew in milliseconds.
-    pub max_skew_ms: u64,
-    /// Admit scores strictly below this without a puzzle (None = paper
-    /// behaviour: everyone works).
-    pub bypass_threshold: Option<f64>,
-    /// Audit-log capacity (events).
-    pub audit_capacity: usize,
-    /// Cost-ledger capacity (clients).
-    pub ledger_capacity: usize,
-    /// Shard count for per-client structures (rounded up to a power of
-    /// two); `None` picks an automatic per-structure count from the
-    /// machine's available parallelism. Capacity-evicting structures
-    /// raise the count further so no eviction scan exceeds
-    /// [`eviction_max_scan`](Self::eviction_max_scan).
-    pub shard_count: Option<usize>,
-    /// Bound on the entries one capacity-eviction victim scan may visit
-    /// — the worst-case hot-path cost of an insert at capacity, kept
-    /// independent of the table's total capacity by raising the shard
-    /// count (`aipow_shard::ShardLayout::bounded`). Applies to the cost
-    /// ledger. The online recorder's sketch table is bounded separately
-    /// by [`OnlineSettings::max_scan`] (same default), since the online
-    /// settings travel as a self-contained block.
-    pub eviction_max_scan: usize,
-    /// Ceiling on the group size the framework's batch entry points
-    /// (`handle_request_batch`, `handle_solution_batch`) process per
-    /// pipeline pass — bounds how long one batch holds the policy
-    /// read-lock, the seed-DRBG lock, and each audit/ledger shard lock.
-    /// The TCP server drains up to this many pipelined frames per
-    /// connection wakeup. Must be at least 1.
-    pub max_batch: usize,
-    /// Lane width for the verifier's multi-buffer SHA-256 kernel — how
-    /// many challenge MACs / work digests batched verification hashes
-    /// per compression loop. `None` (the default) auto-detects
-    /// ([`aipow_crypto::auto_lanes`]); explicit values must be in
-    /// `[1, 8]`, with 1 forcing the scalar path. Purely a performance
-    /// knob: every width computes identical outcomes.
-    ///
-    /// This knob was previously named `verify_lanes`; configs using the
-    /// old name still deserialize (it is a serde alias), matching the
-    /// solver's `--lanes` flag and `SolverOptions::lanes`.
-    #[serde(alias = "verify_lanes")]
-    pub lanes: Option<usize>,
-    /// Reputation score at or above which clients are routed to the
-    /// memory-hard puzzle backend instead of SHA-256 (see
-    /// [`aipow_policy::ThresholdRouter`]; higher score = more
-    /// suspicious). `None` (the default) keeps every client on the
-    /// SHA-256 backend. Must be a finite number in `[0, 10]`.
-    pub memory_hard_above: Option<f64>,
-    /// Arena size in MiB minted into memory-hard challenges. `None`
-    /// uses the backend default
-    /// ([`aipow_crypto::memmix::DEFAULT_ARENA_MIB`]); explicit values
-    /// must lie in `[aipow_crypto::memmix::MIN_ARENA_MIB,
-    /// aipow_crypto::memmix::MAX_ARENA_MIB]`.
-    pub memory_hard_arena_mib: Option<u8>,
-    /// Request-trace sampling rate: trace 1 in `trace_sample_rate`
-    /// admissions through the `aipow-trace` span layer. 0 (the default)
-    /// disables tracing entirely — no tracer is attached and the hot path
-    /// pays nothing. 1 traces every request (tests and simulations).
-    pub trace_sample_rate: u64,
-    /// Total span capacity of the tracer's ring buffers — the flight
-    /// recorder's look-back window when an anomaly trigger freezes a
-    /// dump. Ignored when [`trace_sample_rate`](Self::trace_sample_rate)
-    /// is 0; must be positive otherwise.
-    pub flight_recorder_capacity: usize,
-    /// Online behavioral-reputation loop settings; `None` disables the
-    /// loop (the paper's static-feature behaviour). The settings are plain
-    /// data so deployments can version-control them.
-    ///
-    /// **Carried, validated, but not wired by [`apply`](Self::apply)**:
-    /// the loop needs the *built* framework (its tap and clock), which a
-    /// builder cannot provide. After `build()`, pass these settings to
-    /// `aipow_online::OnlineLoop::attach(framework, prior, config.online
-    /// .clone().unwrap())` — or set `aipow_net::ServerConfig::online`,
-    /// which does exactly that.
-    pub online: Option<OnlineSettings>,
-}
 
 /// Tuning for the online behavioral reputation loop (see the
-/// `aipow-online` crate). Lives here, beside the rest of the framework
-/// config, so it can ride inside [`FrameworkConfig`] and
-/// `aipow_net::ServerConfig` as serializable data without `aipow-core`
-/// depending on the online crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+/// `aipow-online` crate).
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineSettings {
     /// Maximum clients the behavior recorder tracks. Enforced per shard
     /// (`capacity / shard_count` each): a full shard evicts its
@@ -231,41 +118,9 @@ impl OnlineSettings {
     }
 }
 
-impl Default for FrameworkConfig {
-    fn default() -> Self {
-        FrameworkConfig {
-            policy_spec: "policy2".into(),
-            policy_seed: 0,
-            ttl_ms: aipow_pow::issuer::DEFAULT_TTL_MS,
-            replay_capacity: aipow_pow::replay::DEFAULT_CAPACITY,
-            difficulty_cap_bits: 40,
-            max_skew_ms: aipow_pow::verifier::DEFAULT_MAX_SKEW_MS,
-            bypass_threshold: None,
-            audit_capacity: 1_024,
-            ledger_capacity: 4_096,
-            shard_count: None,
-            eviction_max_scan: aipow_shard::DEFAULT_MAX_SCAN,
-            max_batch: crate::framework::DEFAULT_MAX_BATCH,
-            lanes: None,
-            memory_hard_above: None,
-            memory_hard_arena_mib: None,
-            trace_sample_rate: 0,
-            flight_recorder_capacity: TraceConfig::default().ring_capacity,
-            online: None,
-        }
-    }
-}
-
-/// Error applying a [`FrameworkConfig`].
+/// Error from [`OnlineSettings::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// The policy spec did not resolve.
-    Policy(registry::SpecError),
-    /// The difficulty cap exceeds 64 bits.
-    BadDifficultyCap {
-        /// The rejected cap.
-        bits: u8,
-    },
     /// A capacity field was zero.
     ZeroCapacity {
         /// Which field was zero.
@@ -280,32 +135,6 @@ pub enum ConfigError {
     BadMaxScan {
         /// The rejected bound.
         requested: usize,
-    },
-    /// The batch-size ceiling was zero.
-    BadMaxBatch {
-        /// The rejected ceiling.
-        requested: usize,
-    },
-    /// The verification lane width was outside `[1, 8]`.
-    BadVerifyLanes {
-        /// The rejected width.
-        requested: usize,
-    },
-    /// The bypass threshold was not a finite number in `[0, 10]`.
-    BadBypassThreshold {
-        /// The rejected threshold.
-        value: f64,
-    },
-    /// The memory-hard routing threshold was not a finite number in
-    /// `[0, 10]`.
-    BadRoutingThreshold {
-        /// The rejected threshold.
-        value: f64,
-    },
-    /// The memory-hard arena size was outside the supported MiB range.
-    BadArenaMib {
-        /// The rejected size in MiB.
-        requested: u8,
     },
     /// A duration field was zero.
     ZeroDuration {
@@ -324,10 +153,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::Policy(e) => write!(f, "policy spec error: {e}"),
-            ConfigError::BadDifficultyCap { bits } => {
-                write!(f, "difficulty cap {bits} exceeds 64 bits")
-            }
             ConfigError::ZeroCapacity { field } => {
                 write!(f, "{field} capacity must be positive")
             }
@@ -341,30 +166,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadMaxScan { requested } => {
                 write!(f, "eviction scan bound {requested} must be positive")
             }
-            ConfigError::BadMaxBatch { requested } => {
-                write!(f, "batch ceiling {requested} must be at least 1")
-            }
-            ConfigError::BadVerifyLanes { requested } => {
-                write!(
-                    f,
-                    "verification lane width {requested} outside [1, {}]",
-                    aipow_crypto::MAX_LANES
-                )
-            }
-            ConfigError::BadBypassThreshold { value } => {
-                write!(f, "bypass threshold {value} outside [0, 10]")
-            }
-            ConfigError::BadRoutingThreshold { value } => {
-                write!(f, "memory-hard routing threshold {value} outside [0, 10]")
-            }
-            ConfigError::BadArenaMib { requested } => {
-                write!(
-                    f,
-                    "memory-hard arena size {requested} MiB outside [{}, {}]",
-                    aipow_crypto::memmix::MIN_ARENA_MIB,
-                    aipow_crypto::memmix::MAX_ARENA_MIB
-                )
-            }
             ConfigError::ZeroDuration { field } => {
                 write!(f, "{field} must be a positive number of milliseconds")
             }
@@ -377,458 +178,13 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-impl From<registry::SpecError> for ConfigError {
-    fn from(e: registry::SpecError) -> Self {
-        ConfigError::Policy(e)
-    }
-}
-
-impl FrameworkConfig {
-    /// Validates the config and produces a pre-populated builder. The
-    /// caller still supplies the model and master key (neither is sensibly
-    /// expressible as plain data). Likewise, [`online`](Self::online) is
-    /// validated here but must be wired by the caller after `build()`
-    /// (via `aipow_online::OnlineLoop::attach` or
-    /// `aipow_net::ServerConfig::online`) — a builder cannot construct a
-    /// loop that needs the built framework.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for invalid field values or an unresolvable
-    /// policy spec.
-    pub fn apply(&self) -> Result<FrameworkBuilder, ConfigError> {
-        let policy = registry::from_spec(&self.policy_spec, self.policy_seed)?;
-        let cap = Difficulty::new(self.difficulty_cap_bits).map_err(|_| {
-            ConfigError::BadDifficultyCap {
-                bits: self.difficulty_cap_bits,
-            }
-        })?;
-        if self.replay_capacity == 0 {
-            return Err(ConfigError::ZeroCapacity { field: "replay" });
-        }
-        if self.audit_capacity == 0 {
-            return Err(ConfigError::ZeroCapacity { field: "audit" });
-        }
-        if self.ledger_capacity == 0 {
-            return Err(ConfigError::ZeroCapacity { field: "ledger" });
-        }
-        if let Some(shards) = self.shard_count {
-            if shards == 0 || shards > aipow_shard::MAX_SHARDS {
-                return Err(ConfigError::BadShardCount { requested: shards });
-            }
-        }
-        if self.eviction_max_scan == 0 {
-            return Err(ConfigError::BadMaxScan { requested: 0 });
-        }
-        if self.max_batch == 0 {
-            return Err(ConfigError::BadMaxBatch { requested: 0 });
-        }
-        if let Some(lanes) = self.lanes {
-            if lanes == 0 || lanes > aipow_crypto::MAX_LANES {
-                return Err(ConfigError::BadVerifyLanes { requested: lanes });
-            }
-        }
-        if let Some(t) = self.bypass_threshold {
-            if !t.is_finite() || !(0.0..=10.0).contains(&t) {
-                return Err(ConfigError::BadBypassThreshold { value: t });
-            }
-        }
-        if let Some(t) = self.memory_hard_above {
-            if !t.is_finite() || !(0.0..=10.0).contains(&t) {
-                return Err(ConfigError::BadRoutingThreshold { value: t });
-            }
-        }
-        if let Some(mib) = self.memory_hard_arena_mib {
-            if !aipow_crypto::memmix::validate_arena_mib(mib) {
-                return Err(ConfigError::BadArenaMib { requested: mib });
-            }
-        }
-        if self.trace_sample_rate > 0 && self.flight_recorder_capacity == 0 {
-            return Err(ConfigError::ZeroCapacity {
-                field: "flight recorder",
-            });
-        }
-        if let Some(online) = &self.online {
-            online.validate()?;
-        }
-
-        let mut builder = FrameworkBuilder::new()
-            .policy_boxed(policy)
-            .ttl_ms(self.ttl_ms)
-            .replay_capacity(self.replay_capacity)
-            .difficulty_cap(cap)
-            .max_skew_ms(self.max_skew_ms)
-            .audit_capacity(self.audit_capacity)
-            .ledger_capacity(self.ledger_capacity)
-            .eviction_max_scan(self.eviction_max_scan)
-            .max_batch(self.max_batch);
-        if let Some(t) = self.bypass_threshold {
-            builder = builder.bypass_threshold(t);
-        }
-        if let Some(shards) = self.shard_count {
-            builder = builder.shard_count(shards);
-        }
-        if let Some(lanes) = self.lanes {
-            builder = builder.lanes(lanes);
-        }
-        if let Some(t) = self.memory_hard_above {
-            builder = builder.route_memory_hard_above(t);
-        }
-        if let Some(mib) = self.memory_hard_arena_mib {
-            builder = builder.memory_hard_arena_mib(mib);
-        }
-        if self.trace_sample_rate > 0 {
-            builder = builder.tracer(Arc::new(Tracer::new(TraceConfig {
-                sample_every: self.trace_sample_rate,
-                ring_capacity: self.flight_recorder_capacity,
-                ..TraceConfig::default()
-            })));
-        }
-        Ok(builder)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aipow_reputation::model::FixedScoreModel;
-    use aipow_reputation::{FeatureVector, ReputationScore};
-    use std::net::{IpAddr, Ipv4Addr};
-
-    #[test]
-    fn default_config_applies() {
-        let fw = FrameworkConfig::default()
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert_eq!(fw.policy_name(), "policy2");
-    }
-
-    #[test]
-    fn policy_spec_resolves_through_config() {
-        let config = FrameworkConfig {
-            policy_spec: "policy1".into(),
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        let issued = fw
-            .handle_request(IpAddr::V4(Ipv4Addr::LOCALHOST), &FeatureVector::zeros())
-            .challenge()
-            .unwrap();
-        assert_eq!(issued.difficulty.bits(), 1);
-    }
-
-    #[test]
-    fn dsl_policy_through_config() {
-        let config = FrameworkConfig {
-            policy_spec: "policy \"cfg\" { otherwise => difficulty 3; }".into(),
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MAX))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert_eq!(fw.policy_name(), "cfg");
-    }
-
-    #[test]
-    fn bad_policy_spec_rejected() {
-        let config = FrameworkConfig {
-            policy_spec: "not-a-policy".into(),
-            ..Default::default()
-        };
-        assert!(matches!(config.apply(), Err(ConfigError::Policy(_))));
-    }
-
-    #[test]
-    fn bad_cap_rejected() {
-        let config = FrameworkConfig {
-            difficulty_cap_bits: 65,
-            ..Default::default()
-        };
-        assert_eq!(
-            config.apply().unwrap_err(),
-            ConfigError::BadDifficultyCap { bits: 65 }
-        );
-    }
-
-    #[test]
-    fn zero_capacities_rejected() {
-        for (field, config) in [
-            (
-                "replay",
-                FrameworkConfig {
-                    replay_capacity: 0,
-                    ..Default::default()
-                },
-            ),
-            (
-                "audit",
-                FrameworkConfig {
-                    audit_capacity: 0,
-                    ..Default::default()
-                },
-            ),
-            (
-                "ledger",
-                FrameworkConfig {
-                    ledger_capacity: 0,
-                    ..Default::default()
-                },
-            ),
-        ] {
-            assert_eq!(
-                config.apply().unwrap_err(),
-                ConfigError::ZeroCapacity { field },
-            );
-        }
-    }
-
-    #[test]
-    fn shard_count_threads_through_config() {
-        let config = FrameworkConfig {
-            shard_count: Some(4),
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert_eq!(fw.audit().shard_count(), 4);
-        // The ledger raises the requested count so its eviction scan
-        // stays under the default bound: 4096 / 512 = 8 shards minimum.
-        assert_eq!(fw.ledger().shard_count(), 8);
-        assert!(fw.ledger().per_shard_capacity() <= aipow_shard::DEFAULT_MAX_SCAN);
-    }
-
-    #[test]
-    fn eviction_max_scan_threads_through_config() {
-        let config = FrameworkConfig {
-            ledger_capacity: 4_096,
-            eviction_max_scan: 64,
-            shard_count: Some(4),
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert!(fw.ledger().per_shard_capacity() <= 64);
-        assert!(fw.ledger().shard_count() >= 4_096 / 64);
-    }
-
-    #[test]
-    fn max_batch_threads_through_config() {
-        let config = FrameworkConfig {
-            max_batch: 128,
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert_eq!(fw.max_batch(), 128);
-        assert_eq!(FrameworkConfig::default().max_batch, 32);
-    }
-
-    #[test]
-    fn lanes_threads_through_config() {
-        let config = FrameworkConfig {
-            lanes: Some(4),
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert_eq!(fw.verifier().verify_lanes(), 4);
-        // The default defers to hardware detection: always a valid width.
-        assert_eq!(FrameworkConfig::default().lanes, None);
-        let auto = FrameworkConfig::default()
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert!((1..=aipow_crypto::MAX_LANES).contains(&auto.verifier().verify_lanes()));
-    }
-
-    #[test]
-    fn out_of_range_lanes_rejected() {
-        for requested in [0, 9, 64] {
-            let config = FrameworkConfig {
-                lanes: Some(requested),
-                ..Default::default()
-            };
-            assert_eq!(
-                config.apply().unwrap_err(),
-                ConfigError::BadVerifyLanes { requested },
-                "lanes {requested} should be rejected"
-            );
-        }
-        assert!(ConfigError::BadVerifyLanes { requested: 9 }
-            .to_string()
-            .contains("lane"));
-    }
-
-    #[test]
-    fn memory_hard_routing_threads_through_config() {
-        let config = FrameworkConfig {
-            memory_hard_above: Some(6.0),
-            memory_hard_arena_mib: Some(1),
-            ..Default::default()
-        };
-        let fw = config
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MAX))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        // Score 10 ≥ 6: the issued challenge must be memory-hard, with
-        // the configured arena parameter.
-        let issued = fw
-            .handle_request(IpAddr::V4(Ipv4Addr::LOCALHOST), &FeatureVector::zeros())
-            .challenge()
-            .unwrap();
-        assert_eq!(
-            issued.challenge.backend(),
-            aipow_pow::BackendId::MEMORY_HARD
-        );
-        assert_eq!(issued.challenge.backend_param(), 1);
-    }
-
-    #[test]
-    fn bad_routing_threshold_rejected() {
-        for value in [-1.0, 11.0, f64::NAN] {
-            let config = FrameworkConfig {
-                memory_hard_above: Some(value),
-                ..Default::default()
-            };
-            assert!(
-                matches!(config.apply(), Err(ConfigError::BadRoutingThreshold { .. })),
-                "threshold {value} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_bounds_arena_mib_rejected() {
-        for requested in [0, aipow_crypto::memmix::MAX_ARENA_MIB + 1, u8::MAX] {
-            let config = FrameworkConfig {
-                memory_hard_arena_mib: Some(requested),
-                ..Default::default()
-            };
-            assert_eq!(
-                config.apply().unwrap_err(),
-                ConfigError::BadArenaMib { requested },
-                "arena size {requested} should be rejected"
-            );
-        }
-        // The bounds themselves are accepted.
-        for requested in [
-            aipow_crypto::memmix::MIN_ARENA_MIB,
-            aipow_crypto::memmix::MAX_ARENA_MIB,
-        ] {
-            let config = FrameworkConfig {
-                memory_hard_arena_mib: Some(requested),
-                ..Default::default()
-            };
-            assert!(config.apply().is_ok(), "arena size {requested} is valid");
-        }
-        assert!(ConfigError::BadArenaMib { requested: 0 }
-            .to_string()
-            .contains("MiB"));
-    }
-
-    #[test]
-    fn zero_max_batch_rejected() {
-        let config = FrameworkConfig {
-            max_batch: 0,
-            ..Default::default()
-        };
-        assert_eq!(
-            config.apply().unwrap_err(),
-            ConfigError::BadMaxBatch { requested: 0 }
-        );
-        assert!(ConfigError::BadMaxBatch { requested: 0 }
-            .to_string()
-            .contains("batch"));
-    }
-
-    #[test]
-    fn zero_max_scan_rejected() {
-        let config = FrameworkConfig {
-            eviction_max_scan: 0,
-            ..Default::default()
-        };
-        assert_eq!(
-            config.apply().unwrap_err(),
-            ConfigError::BadMaxScan { requested: 0 }
-        );
-    }
-
-    #[test]
-    fn out_of_range_shard_counts_rejected() {
-        for requested in [0, aipow_shard::MAX_SHARDS + 1, 1 << 40] {
-            let config = FrameworkConfig {
-                shard_count: Some(requested),
-                ..Default::default()
-            };
-            assert_eq!(
-                config.apply().unwrap_err(),
-                ConfigError::BadShardCount { requested },
-                "shard_count {requested} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_bypass_rejected() {
-        for value in [-1.0, 11.0, f64::NAN] {
-            let config = FrameworkConfig {
-                bypass_threshold: Some(value),
-                ..Default::default()
-            };
-            assert!(matches!(
-                config.apply(),
-                Err(ConfigError::BadBypassThreshold { .. })
-            ));
-        }
-    }
 
     #[test]
     fn online_settings_validate_through_config() {
-        let good = FrameworkConfig {
-            online: Some(OnlineSettings::default()),
-            ..Default::default()
-        };
-        assert!(good.apply().is_ok());
+        assert!(OnlineSettings::default().validate().is_ok());
 
         for bad in [
             OnlineSettings {
@@ -864,66 +220,11 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let config = FrameworkConfig {
-                online: Some(bad.clone()),
-                ..Default::default()
-            };
             assert!(
-                config.apply().is_err(),
+                bad.validate().is_err(),
                 "settings should be rejected: {bad:?}"
             );
         }
-    }
-
-    #[test]
-    fn trace_sampling_threads_through_config() {
-        // Default: off — no tracer attached, hot path pays nothing.
-        let off = FrameworkConfig::default()
-            .apply()
-            .unwrap()
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .master_key([1u8; 32])
-            .build()
-            .unwrap();
-        assert!(off.tracer().is_none());
-
-        let on = FrameworkConfig {
-            trace_sample_rate: 1,
-            flight_recorder_capacity: 256,
-            ..Default::default()
-        }
-        .apply()
-        .unwrap()
-        .model(FixedScoreModel::new(ReputationScore::MIN))
-        .master_key([1u8; 32])
-        .build()
-        .unwrap();
-        let tracer = on.tracer().expect("tracer attached via config");
-        assert_eq!(tracer.sample_every(), 1);
-        on.handle_request(IpAddr::V4(Ipv4Addr::LOCALHOST), &FeatureVector::zeros());
-        assert!(tracer.recorded() > 0);
-    }
-
-    #[test]
-    fn zero_flight_recorder_capacity_rejected_when_tracing() {
-        let config = FrameworkConfig {
-            trace_sample_rate: 64,
-            flight_recorder_capacity: 0,
-            ..Default::default()
-        };
-        assert_eq!(
-            config.apply().unwrap_err(),
-            ConfigError::ZeroCapacity {
-                field: "flight recorder"
-            }
-        );
-        // With tracing off the capacity field is inert.
-        let off = FrameworkConfig {
-            trace_sample_rate: 0,
-            flight_recorder_capacity: 0,
-            ..Default::default()
-        };
-        assert!(off.apply().is_ok());
     }
 
     #[test]

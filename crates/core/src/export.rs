@@ -1,8 +1,7 @@
 //! Telemetry exposition: rendering a [`MetricsSnapshot`] as JSON and as
 //! Prometheus text format.
 //!
-//! Both renderers are hand-rolled — the workspace's vendored `serde` is
-//! derive-only (no JSON backend), and the exposition formats are small
+//! Both renderers are hand-rolled: the exposition formats are small
 //! enough that a dependency would cost more than it saves. Output is
 //! deterministic: map-backed sections are emitted in sorted key order so
 //! two snapshots with equal contents render byte-identically.

@@ -252,7 +252,7 @@ impl FrameworkBuilder {
     /// # Panics
     ///
     /// [`build`](Self::build) panics (via the ledger constructor) if set
-    /// to zero; [`crate::FrameworkConfig`] validates it instead.
+    /// to zero.
     pub fn eviction_max_scan(mut self, max_scan: usize) -> Self {
         self.eviction_max_scan = max_scan;
         self
@@ -263,8 +263,9 @@ impl FrameworkBuilder {
     /// [`Framework::handle_solution_batch`]) push through one pipeline
     /// pass. Larger inputs are processed in chunks of this size, which
     /// bounds how long one batch holds the policy read-lock, the DRBG
-    /// lock, and each audit/ledger shard lock. Clamped to a minimum of 1.
-    /// Defaults to [`DEFAULT_MAX_BATCH`].
+    /// lock, and each audit/ledger shard lock. The TCP server drains at
+    /// most this many pipelined frames per group. Clamped to a minimum
+    /// of 1. Defaults to [`DEFAULT_MAX_BATCH`].
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
@@ -277,21 +278,10 @@ impl FrameworkBuilder {
     /// outcomes. Defaults to auto-detection
     /// ([`aipow_crypto::auto_lanes`]): 8 where the build can use 256-bit
     /// vectors, else 4.
-    ///
-    /// `lanes` is the one name for this knob across the API surface
-    /// (this builder, `FrameworkConfig::lanes`, `ServerConfig::lanes`,
-    /// the `--lanes` CLI flag, `SolverOptions::lanes`); the former
-    /// builder name survives as the deprecated
-    /// [`verify_lanes`](Self::verify_lanes) alias.
+    /// The width is fixed when the framework is built.
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes);
         self
-    }
-
-    /// Deprecated spelling of [`lanes`](Self::lanes).
-    #[deprecated(note = "renamed to `lanes`; the knob has one name across the API surface")]
-    pub fn verify_lanes(self, lanes: usize) -> Self {
-        self.lanes(lanes)
     }
 
     /// Routes each client to a puzzle backend by reputation score (see
@@ -318,8 +308,7 @@ impl FrameworkBuilder {
     /// # Panics
     ///
     /// [`build`](Self::build) panics (via the issuer) on an
-    /// out-of-bounds size; [`crate::FrameworkConfig`] validates it with
-    /// a typed error instead.
+    /// out-of-bounds size.
     pub fn memory_hard_arena_mib(mut self, mib: u8) -> Self {
         self.memory_hard_arena_mib = Some(mib);
         self
@@ -1413,24 +1402,29 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_lanes_alias_still_builds() {
-        #[allow(deprecated)]
+    fn builder_knobs_thread_through_to_the_framework() {
         let fw = FrameworkBuilder::new()
             .master_key([9u8; 32])
             .model(FixedScoreModel::new(ReputationScore::MIN))
             .policy(LinearPolicy::policy1())
-            .verify_lanes(4)
+            .lanes(4)
+            .max_batch(128)
+            .ledger_capacity(4_096)
+            .eviction_max_scan(64)
             .build()
             .unwrap();
         assert_eq!(fw.verifier().verify_lanes(), 4);
-        let canonical = FrameworkBuilder::new()
-            .master_key([9u8; 32])
-            .model(FixedScoreModel::new(ReputationScore::MIN))
-            .policy(LinearPolicy::policy1())
-            .lanes(4)
-            .build()
-            .unwrap();
-        assert_eq!(canonical.verifier().verify_lanes(), 4);
+        assert_eq!(fw.max_batch(), 128);
+        // The ledger raises its shard count so no eviction scan visits
+        // more than 64 entries.
+        assert!(fw.ledger().per_shard_capacity() <= 64);
+        assert!(fw.ledger().shard_count() >= 4_096 / 64);
+        // Defaults: hardware-detected lanes (always a valid width) and a
+        // batch ceiling of 32.
+        let defaults = framework_with_score(0.0);
+        assert!((1..=aipow_crypto::MAX_LANES).contains(&defaults.verifier().verify_lanes()));
+        assert_eq!(defaults.max_batch(), DEFAULT_MAX_BATCH);
+        assert_eq!(DEFAULT_MAX_BATCH, 32);
     }
 
     #[test]

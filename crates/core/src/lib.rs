@@ -54,7 +54,6 @@
 
 pub mod audit;
 pub mod config;
-pub mod controller;
 pub mod cost;
 pub mod export;
 pub mod features;
@@ -91,8 +90,7 @@ pub(crate) mod sync {
 }
 
 pub use audit::{AuditEvent, AuditKind, AuditLog};
-pub use config::{FrameworkConfig, OnlineSettings};
-pub use controller::{LoadController, LoadSignal};
+pub use config::OnlineSettings;
 pub use cost::{CostLedger, LowestCost};
 pub use export::{snapshot_json, snapshot_prometheus};
 pub use features::{FeatureSource, StaticFeatureSource, SyntheticFeatureSource};

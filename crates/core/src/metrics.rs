@@ -2,7 +2,6 @@
 
 use crate::sync::{AtomicU64, Ordering};
 use aipow_metrics::{AtomicHistogram, Counter, Gauge};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The verifier's stable rejection labels (see
@@ -154,7 +153,7 @@ impl StageTimers {
 
 /// One pipeline stage's accumulated latency, as reported in
 /// [`MetricsSnapshot::stage_timings`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name (one of [`STAGE_NAMES`]).
     pub stage: String,
@@ -455,7 +454,7 @@ impl FrameworkMetrics {
 }
 
 /// A serializable point-in-time view of [`FrameworkMetrics`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Challenges issued.
     pub challenges_issued: u64,

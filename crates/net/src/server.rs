@@ -68,27 +68,6 @@ pub struct ServerConfig {
     /// inflict on the admission path, independent of
     /// `rate_limit_max_clients`.
     pub rate_limit_max_scan: usize,
-    /// Maximum pipelined frames dispatched through the framework's batch
-    /// admission path (`handle_request_batch` / `handle_solution_batch`)
-    /// per group. A client that writes k requests back-to-back gets them
-    /// admitted in one pipeline pass — one clock reading, one policy
-    /// read-lock, one audit shard-lock acquisition per shard — instead
-    /// of k. Replies are written in frame order either way; 1 disables
-    /// batching (every frame dispatched alone). Clamped to a minimum
-    /// of 1.
-    pub max_batch: usize,
-    /// Lane width for the verifier's multi-buffer SHA-256 kernel, applied
-    /// to the framework at server start (`Verifier::set_verify_lanes`).
-    /// `None` (the default) leaves the framework's setting — normally
-    /// hardware auto-detection — untouched; explicit values are clamped
-    /// to `[1, 8]`, with 1 forcing scalar verification. Purely a
-    /// performance knob: every width computes identical outcomes.
-    ///
-    /// Formerly named `verify_lanes`; `lanes` is the one name for this
-    /// knob across the API surface (`FrameworkConfig::lanes`,
-    /// `FrameworkBuilder::lanes`, the `--lanes` CLI flag,
-    /// `SolverOptions::lanes`).
-    pub lanes: Option<usize>,
     /// Online behavioral-reputation loop. When set, the server attaches a
     /// behavior recorder to the framework's tap, serves model features
     /// from the live blending source (the `features` argument to
@@ -99,8 +78,7 @@ pub struct ServerConfig {
     /// **one** online attachment for its lifetime: restarting a server
     /// with `online` set against the same framework instance fails with
     /// `InvalidInput` (the first loop's recorder is still attached).
-    /// Build a fresh framework per online-enabled server start — cheap
-    /// via [`aipow_core::FrameworkConfig`] — or wire
+    /// Build a fresh framework per online-enabled server start, or wire
     /// `aipow_online::OnlineLoop` yourself, keep it across restarts, and
     /// pass its source as `features` with `online: None`.
     pub online: Option<OnlineSettings>,
@@ -118,8 +96,6 @@ impl Default for ServerConfig {
             rate_limit_max_clients: 65_536,
             rate_limit_shards: None,
             rate_limit_max_scan: aipow_core::sharded::DEFAULT_MAX_SCAN,
-            max_batch: aipow_core::framework::DEFAULT_MAX_BATCH,
-            lanes: None,
             online: None,
         }
     }
@@ -178,10 +154,6 @@ impl PowServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let resources = Arc::new(resources);
 
-        if let Some(lanes) = config.lanes {
-            framework.verifier().set_verify_lanes(lanes);
-        }
-
         // Online loop: the caller's feature source becomes the cold-start
         // prior, and live features are served from the blending source.
         // Bad settings and a pre-existing behavior sink both reject the
@@ -235,7 +207,6 @@ impl PowServer {
             limiter,
             gate: Arc::clone(&gate),
             shutdown: Arc::clone(&shutdown),
-            max_batch: config.max_batch.max(1),
             idle_timeout: config.idle_timeout,
             outbound_limit: config.outbound_queue_bytes.max(OUTBOUND_QUEUE_FLOOR),
             epoch: std::time::Instant::now(),
@@ -318,15 +289,19 @@ mod tests {
     use aipow_wire::{read_message, write_message, Message, RejectCode};
     use std::net::TcpStream;
 
+    fn test_builder(score: f64) -> FrameworkBuilder {
+        FrameworkBuilder::new()
+            .master_key([3u8; 32])
+            .model(FixedScoreModel::new(ReputationScore::new(score).unwrap()))
+            .policy(LinearPolicy::policy1())
+    }
+
     fn test_server(score: f64, config: ServerConfig) -> PowServer {
-        let framework = Arc::new(
-            FrameworkBuilder::new()
-                .master_key([3u8; 32])
-                .model(FixedScoreModel::new(ReputationScore::new(score).unwrap()))
-                .policy(LinearPolicy::policy1())
-                .build()
-                .unwrap(),
-        );
+        start_server(test_builder(score), config)
+    }
+
+    fn start_server(builder: FrameworkBuilder, config: ServerConfig) -> PowServer {
+        let framework = Arc::new(builder.build().unwrap());
         let features = Arc::new(StaticFeatureSource::new(FeatureVector::zeros()));
         let mut resources = HashMap::new();
         resources.insert("/r".to_string(), b"payload".to_vec());
@@ -338,31 +313,6 @@ mod tests {
         let server = test_server(0.0, ServerConfig::default());
         let addr = server.local_addr();
         assert_ne!(addr.port(), 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn lanes_config_is_applied_at_start() {
-        let framework = Arc::new(
-            FrameworkBuilder::new()
-                .master_key([3u8; 32])
-                .model(FixedScoreModel::new(ReputationScore::MIN))
-                .policy(LinearPolicy::policy1())
-                .build()
-                .unwrap(),
-        );
-        let server = PowServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&framework),
-            Arc::new(StaticFeatureSource::new(FeatureVector::zeros())),
-            HashMap::new(),
-            ServerConfig {
-                lanes: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(framework.verifier().verify_lanes(), 4);
         server.shutdown();
     }
 
@@ -587,13 +537,7 @@ mod tests {
     #[test]
     fn pipelined_frames_are_batched_and_replied_in_order() {
         use std::io::Write;
-        let server = test_server(
-            0.0,
-            ServerConfig {
-                max_batch: 8,
-                ..Default::default()
-            },
-        );
+        let server = start_server(test_builder(0.0).max_batch(8), ServerConfig::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Write a pipelined burst in one TCP segment: 3 requests, a
         // ping, and a not-found, without reading between writes.

@@ -90,7 +90,7 @@ pub use recorder::{BehaviorRecorder, ClientSketch};
 pub use source::BehavioralFeatureSource;
 pub use worker::{AttachError, OnlineLoop, SweepReport};
 
-// The settings type lives in `aipow-core` (so it can ride in
-// `FrameworkConfig`/`ServerConfig` as plain data); re-export it here as
-// the crate's canonical configuration.
+// The settings type lives in `aipow-core` (so `ServerConfig` can carry
+// it without depending on this crate); re-export it here as the crate's
+// canonical configuration.
 pub use aipow_core::OnlineSettings;

@@ -95,8 +95,8 @@ impl OnlineLoop {
     /// # Errors
     ///
     /// [`AttachError::InvalidSettings`] when the settings fail
-    /// [`OnlineSettings::validate`] (settings are plain deserializable
-    /// data — bad values must error, not panic), and
+    /// [`OnlineSettings::validate`] (settings are plain data — bad
+    /// values must error, not panic), and
     /// [`AttachError::SinkAlreadyAttached`] when the framework already
     /// has a behavior sink (the tap is write-once).
     pub fn attach(

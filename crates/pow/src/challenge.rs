@@ -9,7 +9,6 @@
 use crate::backend::{BackendId, BackendRegistry};
 use crate::difficulty::Difficulty;
 use aipow_crypto::sha256::Digest;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// Current challenge format version.
@@ -33,7 +32,7 @@ pub const SEED_LEN: usize = 16;
 /// assert_eq!(c.difficulty().bits(), 4);
 /// assert_eq!(c.client_ip(), ip);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Challenge {
     version: u8,
     backend: BackendId,
@@ -216,7 +215,7 @@ fn encode_ip(out: &mut Vec<u8>, ip: IpAddr) {
 /// `d ≈ 28`), so the default is [`NonceWidth::U64`]; use
 /// [`SolverOptions::strict_u32`](crate::SolverOptions) for paper-faithful
 /// behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NonceWidth {
     /// 4-byte big-endian nonce (paper-faithful).
     U32,
@@ -264,7 +263,7 @@ impl NonceWidth {
 /// and the backend the client actually solved with. The verifier rejects a
 /// declared backend that disagrees with the challenge's
 /// ([`VerifyError::BackendMismatch`](crate::VerifyError)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
     /// The challenge being answered (echoed back to the verifier).
     pub challenge: Challenge,

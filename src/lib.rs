@@ -124,8 +124,8 @@ pub mod trace {
 /// The most common imports, for `use aipow::prelude::*`.
 pub mod prelude {
     pub use aipow_core::{
-        AdmissionDecision, FeatureSource, Framework, FrameworkBuilder, FrameworkConfig,
-        LoadController, OnlineSettings, StaticFeatureSource,
+        AdmissionDecision, FeatureSource, Framework, FrameworkBuilder, OnlineSettings,
+        StaticFeatureSource,
     };
     pub use aipow_online::{BehaviorRecorder, BehavioralFeatureSource, OnlineLoop};
     pub use aipow_policy::{
