@@ -5,7 +5,7 @@
 //! persistence is the embedder's concern.
 
 use crate::sync::{AtomicU64, Ordering};
-use aipow_pow::Difficulty;
+use aipow_pow::{Difficulty, VerifyError};
 use aipow_reputation::ReputationScore;
 use aipow_shard::{default_shard_count, floor_shards, round_shards, Sharded};
 use std::collections::VecDeque;
@@ -28,8 +28,8 @@ pub enum AuditKind {
     },
     /// A solution was rejected.
     SolutionRejected {
-        /// The verifier's reason, as text.
-        reason: String,
+        /// The verifier's reason (its `Display` gives the text).
+        error: VerifyError,
     },
     /// The request was admitted without a puzzle (bypass threshold).
     Bypassed {
@@ -63,13 +63,17 @@ pub struct AuditEvent {
 /// instead of on every event.
 ///
 /// ```
-/// use aipow_core::{AuditLog, AuditKind};
+/// use aipow_core::{AuditEvent, AuditLog, AuditKind};
+/// use aipow_pow::VerifyError;
 /// # use std::net::{IpAddr, Ipv4Addr};
 /// let log = AuditLog::new(2);
-/// let ip = IpAddr::V4(Ipv4Addr::LOCALHOST);
-/// for i in 0..3 {
-///     log.record(i, ip, AuditKind::SolutionRejected { reason: format!("r{i}") });
-/// }
+/// let client_ip = IpAddr::V4(Ipv4Addr::LOCALHOST);
+/// let kind = AuditKind::SolutionRejected { error: VerifyError::BadMac };
+/// log.record_batch(
+///     (0..3)
+///         .map(|at_ms| AuditEvent { at_ms, client_ip, kind: kind.clone() })
+///         .collect(),
+/// );
 /// let events = log.snapshot();
 /// assert_eq!(events.len(), 2); // oldest evicted
 /// assert_eq!(events[0].at_ms, 2); // most recent first
@@ -120,44 +124,27 @@ impl AuditLog {
         self.shards.shard_count()
     }
 
-    /// Appends an event, evicting the oldest if full.
+    /// Appends a batch of events in order, evicting the oldest if full.
+    /// The whole sequence range is reserved with **one** atomic add and
+    /// each shard's lock is taken **once** for the batch. Round-robin
+    /// assignment places consecutive sequence numbers on consecutive
+    /// shards, so a batch of `n` events touches `min(n, shards)` shards
+    /// with `⌈n / shards⌉` appends each. Retention and ordering are
+    /// identical to `n` batches of one.
     ///
     /// Under contention two recorders may land in the same shard with
     /// their sequence numbers reversed, in which case a full ring can
     /// evict an event one slot newer than the strict global oldest; the
     /// merge in [`snapshot`](AuditLog::snapshot) restores exact order for
     /// everything retained.
-    pub fn record(&self, at_ms: u64, client_ip: IpAddr, kind: AuditKind) {
-        // AcqRel: reservations form one total order; pairs with the
-        // Acquire in recorded() so a observed count covers its events
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel);
-        let event = AuditEvent {
-            at_ms,
-            client_ip,
-            kind,
-        };
-        self.shards.with_index(seq as usize, |ring| {
-            if ring.len() == self.per_shard {
-                ring.pop_front();
-            }
-            ring.push_back((seq, event));
-        });
-    }
-
-    /// Appends a batch of events in order, reserving the whole sequence
-    /// range with **one** atomic add and taking each shard's lock **once**
-    /// for the batch. Round-robin assignment places consecutive sequence
-    /// numbers on consecutive shards, so a batch of `n` events touches
-    /// `min(n, shards)` shards with `⌈n / shards⌉` appends each — the
-    /// per-event lock acquisition the sequential path pays is amortized
-    /// away. Retention and ordering semantics are identical to `n` calls
-    /// to [`record`](AuditLog::record).
     pub fn record_batch(&self, events: Vec<AuditEvent>) {
         let n = events.len();
         if n == 0 {
             return;
         }
-        // AcqRel: see record() — one RMW reserves the whole batch range
+        // AcqRel: reservations form one total order; pairs with the
+        // Acquire in recorded() so an observed count covers its events.
+        // One RMW reserves the whole batch range.
         let base = self.seq.fetch_add(n as u64, Ordering::AcqRel);
         let shards = self.shards.shard_count();
         let mut events: Vec<Option<AuditEvent>> = events.into_iter().map(Some).collect();
@@ -218,19 +205,34 @@ mod tests {
         IpAddr::V4(Ipv4Addr::LOCALHOST)
     }
 
+    fn rejected() -> AuditKind {
+        AuditKind::SolutionRejected {
+            error: VerifyError::BadMac,
+        }
+    }
+
+    /// Appends one event as a batch of one.
+    fn record(log: &AuditLog, at_ms: u64, kind: AuditKind) {
+        log.record_batch(vec![AuditEvent {
+            at_ms,
+            client_ip: ip(),
+            kind,
+        }]);
+    }
+
     #[test]
     fn records_and_snapshots_most_recent_first() {
         let log = AuditLog::new(10);
-        log.record(
+        record(
+            &log,
             1,
-            ip(),
             AuditKind::Bypassed {
                 score: ReputationScore::MIN,
             },
         );
-        log.record(
+        record(
+            &log,
             2,
-            ip(),
             AuditKind::SolutionAccepted {
                 difficulty: Difficulty::new(5).unwrap(),
             },
@@ -245,7 +247,7 @@ mod tests {
     fn capacity_evicts_oldest() {
         let log = AuditLog::new(3);
         for i in 0..5u64 {
-            log.record(i, ip(), AuditKind::SolutionRejected { reason: "x".into() });
+            record(&log, i, rejected());
         }
         let events = log.snapshot();
         assert_eq!(events.len(), 3);
@@ -264,7 +266,7 @@ mod tests {
         let log = AuditLog::with_shards(16, 4);
         assert_eq!(log.shard_count(), 4);
         for i in 0..40u64 {
-            log.record(i, ip(), AuditKind::SolutionRejected { reason: "x".into() });
+            record(&log, i, rejected());
         }
         assert_eq!(log.len(), 16);
         assert_eq!(log.recorded(), 40);
@@ -277,21 +279,19 @@ mod tests {
 
     #[test]
     fn record_batch_matches_sequential_records_exactly() {
-        // Same events through both paths: identical retention, order,
-        // and sequence accounting.
+        // Same events as batches of one and as mixed-size batches:
+        // identical retention, order, and sequence accounting.
         let single = AuditLog::with_shards(16, 4);
         let batched = AuditLog::with_shards(16, 4);
         let events: Vec<AuditEvent> = (0..40u64)
             .map(|i| AuditEvent {
                 at_ms: i,
                 client_ip: ip(),
-                kind: AuditKind::SolutionRejected {
-                    reason: format!("r{i}"),
-                },
+                kind: rejected(),
             })
             .collect();
         for e in &events {
-            single.record(e.at_ms, e.client_ip, e.kind.clone());
+            single.record_batch(vec![e.clone()]);
         }
         // Mixed batch sizes covering n < shards, n == shards, n > shards.
         let mut rest = events;
@@ -312,7 +312,7 @@ mod tests {
             .map(|i| AuditEvent {
                 at_ms: i,
                 client_ip: ip(),
-                kind: AuditKind::SolutionRejected { reason: "x".into() },
+                kind: rejected(),
             })
             .collect();
         log.record_batch(events);
@@ -336,9 +336,9 @@ mod tests {
                 let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     for i in 0..100 {
-                        log.record(
+                        record(
+                            &log,
                             t * 1_000 + i,
-                            ip(),
                             AuditKind::Bypassed {
                                 score: ReputationScore::MIN,
                             },

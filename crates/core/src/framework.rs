@@ -458,16 +458,9 @@ impl Framework {
     /// request stage chain (Score → Bypass → Policy → Issue → Telemetry;
     /// see [`crate::pipeline`]) over a batch of one.
     pub fn handle_request(&self, client_ip: IpAddr, features: &FeatureVector) -> AdmissionDecision {
-        let now_ms = self.clock.now_ms();
-        let mut batch = [RequestCtx::new(client_ip, features)];
-        if let Some(tracer) = self.tracer() {
-            batch[0].trace_id = tracer.begin_trace();
-        }
-        pipeline::run_request_chain(self, now_ms, &mut batch);
-        batch[0]
-            .decision
-            .take()
-            .expect("pipeline invariant: the request chain settles every ctx")
+        self.handle_request_batch(&[(client_ip, features)])
+            .pop()
+            .expect("batch invariant: one decision per request")
     }
 
     /// The batched form of [`handle_request`](Self::handle_request):
@@ -523,16 +516,9 @@ impl Framework {
         solution: &Solution,
         claimed_ip: IpAddr,
     ) -> Result<VerifiedToken, VerifyError> {
-        let now_ms = self.clock.now_ms();
-        let mut batch = [SolutionCtx::new(solution, claimed_ip)];
-        if let Some(tracer) = self.tracer() {
-            batch[0].trace_id = tracer.begin_trace();
-        }
-        pipeline::run_solution_chain(self, now_ms, &mut batch);
-        batch[0]
-            .outcome
-            .take()
-            .expect("pipeline invariant: the verify stage settles every solution")
+        self.handle_solution_batch(&[(solution, claimed_ip)])
+            .pop()
+            .expect("batch invariant: one outcome per submission")
     }
 
     /// The batched form of [`handle_solution`](Self::handle_solution):
@@ -894,7 +880,12 @@ mod tests {
         assert_eq!(snap.solutions_rejected, 1);
         assert_eq!(snap.rejected_by_reason["client_mismatch"], 1);
         let audit = fw.audit().snapshot();
-        assert!(matches!(audit[0].kind, AuditKind::SolutionRejected { .. }));
+        assert_eq!(
+            audit[0].kind,
+            AuditKind::SolutionRejected {
+                error: VerifyError::ClientMismatch
+            }
+        );
     }
 
     #[test]
@@ -1311,7 +1302,12 @@ mod tests {
         assert_eq!(snap.rejected_by_reason["replayed"], 1);
         // Audit order matches submission order (most recent first).
         let audit = fw.audit().snapshot();
-        assert!(matches!(audit[0].kind, AuditKind::SolutionRejected { .. }));
+        assert_eq!(
+            audit[0].kind,
+            AuditKind::SolutionRejected {
+                error: VerifyError::Replayed
+            }
+        );
         assert!(matches!(audit[1].kind, AuditKind::SolutionAccepted { .. }));
         // Empty batches are no-ops.
         assert!(fw.handle_solution_batch(&[]).is_empty());

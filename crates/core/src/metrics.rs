@@ -335,14 +335,8 @@ impl FrameworkMetrics {
         self.rejected_by_reason.record(reason);
     }
 
-    /// Records the difficulty of an issued challenge (lock-free).
-    pub fn record_issued_difficulty(&self, bits: u8) {
-        self.challenges_issued.inc();
-        self.issued_difficulty.record(bits);
-    }
-
-    /// Records a batch of issued difficulties: one add to the issue
-    /// counter for the whole group, one bucket update per challenge.
+    /// Records a batch of issued difficulties (lock-free): one add to the
+    /// issue counter for the whole group, one bucket update per challenge.
     pub fn record_issued_difficulties(&self, bits: impl IntoIterator<Item = u8>) {
         let mut n = 0u64;
         for b in bits {
@@ -533,8 +527,8 @@ mod tests {
     #[test]
     fn counters_and_snapshot() {
         let m = FrameworkMetrics::new();
-        m.record_issued_difficulty(5);
-        m.record_issued_difficulty(9);
+        m.record_issued_difficulties([5]);
+        m.record_issued_difficulties([9]);
         m.solutions_accepted.inc();
         m.record_rejection("replayed");
         m.record_rejection("replayed");
@@ -585,9 +579,7 @@ mod tests {
     #[test]
     fn difficulty_median_is_exact() {
         let m = FrameworkMetrics::new();
-        for bits in [3u8, 3, 3, 7, 9] {
-            m.record_issued_difficulty(bits);
-        }
+        m.record_issued_difficulties([3u8, 3, 3, 7, 9]);
         let snap = m.snapshot();
         assert_eq!(snap.median_issued_difficulty, 3);
         assert_eq!(snap.max_issued_difficulty, 9);
@@ -604,7 +596,7 @@ mod tests {
         let single = FrameworkMetrics::new();
         let batched = FrameworkMetrics::new();
         for bits in [3u8, 3, 7, 9] {
-            single.record_issued_difficulty(bits);
+            single.record_issued_difficulties([bits]);
         }
         batched.record_issued_difficulties([3u8, 3, 7, 9]);
         batched.record_issued_difficulties([]);

@@ -388,8 +388,9 @@ impl AdmissionStage<RequestCtx<'_>> for IssueStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        let pending = batch.iter().filter(|ctx| ctx.decision.is_none()).count();
-        if pending == 0 {
+        // An all-bypassed batch skips the issuer: even an empty draw
+        // takes the DRBG lock and advances its state.
+        if batch.iter().all(|ctx| ctx.decision.is_some()) {
             return 0;
         }
         // One router context per batch, mirroring the policy stage's
@@ -400,61 +401,32 @@ impl AdmissionStage<RequestCtx<'_>> for IssueStage {
             under_attack: fw.under_attack.load(Ordering::Acquire),
             now_ms,
         };
-        match pending {
-            // lint:allow(no-unwrap) staging invariant: the pending == 0
-            // case returned before the policy lock was taken
-            0 => unreachable!("handled above"),
-            1 => {
-                // The sequential path and nearly-all-bypassed batches:
-                // no seed-buffer allocation, just the single mint.
-                let ctx = batch
-                    .iter_mut()
-                    .find(|ctx| ctx.decision.is_none())
-                    .expect("batch invariant: one pending context remains");
-                let difficulty = ctx
-                    .difficulty
-                    .expect("stage-order invariant: the policy stage ran first");
-                let backend = fw.router.route(ctx.score, &route_ctx);
-                let challenge =
-                    fw.issuer
-                        .issue_backend_at(ctx.client_ip, difficulty, backend, now_ms);
-                ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
-                    challenge,
-                    score: ctx.score,
-                    difficulty,
-                }));
-            }
-            _ => {
-                let requests: Vec<(IpAddr, Difficulty, aipow_pow::BackendId)> = batch
-                    .iter()
-                    .filter(|ctx| ctx.decision.is_none())
-                    .map(|ctx| {
-                        (
-                            ctx.client_ip,
-                            ctx.difficulty
-                                .expect("stage-order invariant: the policy stage ran first"),
-                            fw.router.route(ctx.score, &route_ctx),
-                        )
-                    })
-                    .collect();
-                let challenges = fw.issuer.issue_batch_backend_at(&requests, now_ms);
-                let mut challenges = challenges.into_iter();
-                for ctx in batch.iter_mut().filter(|ctx| ctx.decision.is_none()) {
-                    let challenge = challenges
-                        .next()
-                        .expect("issuer invariant: one challenge per pending request");
-                    let difficulty = ctx
-                        .difficulty
-                        .expect("stage-order invariant: the policy stage ran first");
-                    ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
-                        challenge,
-                        score: ctx.score,
-                        difficulty,
-                    }));
-                }
-            }
+        let requests: Vec<(IpAddr, Difficulty, aipow_pow::BackendId)> = batch
+            .iter()
+            .filter(|ctx| ctx.decision.is_none())
+            .map(|ctx| {
+                (
+                    ctx.client_ip,
+                    ctx.difficulty
+                        .expect("stage-order invariant: the policy stage ran first"),
+                    fw.router.route(ctx.score, &route_ctx),
+                )
+            })
+            .collect();
+        let challenges = fw.issuer.issue_batch_backend_at(&requests, now_ms);
+        for ((ctx, challenge), &(_, difficulty, _)) in batch
+            .iter_mut()
+            .filter(|ctx| ctx.decision.is_none())
+            .zip(challenges)
+            .zip(&requests)
+        {
+            ctx.decision = Some(AdmissionDecision::Challenge(IssuedChallenge {
+                challenge,
+                score: ctx.score,
+                difficulty,
+            }));
         }
-        pending
+        requests.len()
     }
 }
 
@@ -476,45 +448,6 @@ impl AdmissionStage<RequestCtx<'_>> for RequestTelemetryStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        if let [ctx] = batch {
-            // Sequential fast path: no observation buffers.
-            match ctx
-                .decision
-                .as_ref()
-                .expect("pipeline invariant: the request chain settles every ctx")
-            {
-                AdmissionDecision::Admit { score } => {
-                    fw.metrics().bypassed.inc();
-                    fw.audit()
-                        .record(now_ms, ctx.client_ip, AuditKind::Bypassed { score: *score });
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_request(ctx.client_ip, now_ms, *score, None);
-                    }
-                }
-                AdmissionDecision::Challenge(issued) => {
-                    fw.metrics()
-                        .record_issued_difficulty(issued.difficulty.bits());
-                    fw.audit().record(
-                        now_ms,
-                        ctx.client_ip,
-                        AuditKind::ChallengeIssued {
-                            score: issued.score,
-                            difficulty: issued.difficulty,
-                        },
-                    );
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_request(
-                            ctx.client_ip,
-                            now_ms,
-                            issued.score,
-                            Some(issued.difficulty),
-                        );
-                    }
-                }
-            }
-            return 1;
-        }
-
         let mut bypassed = 0u64;
         let mut audit_events = Vec::with_capacity(batch.len());
         let mut observations = Vec::with_capacity(batch.len());
@@ -619,33 +552,20 @@ impl AdmissionStage<SolutionCtx<'_>> for ChargeStage {
     }
 
     fn run(&self, fw: &Framework, _now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
-        let mut accepted = batch.iter().filter_map(|ctx| {
-            ctx.outcome
-                .as_ref()
-                .expect("pipeline invariant: the verify stage settles every solution")
-                .as_ref()
-                .ok()
-                .map(|token| (ctx.claimed_ip, token.difficulty.expected_attempts()))
-        });
-        let Some(first) = accepted.next() else {
-            return 0;
-        };
-        match accepted.next() {
-            // Sequential fast path / single acceptance: no charge buffer.
-            None => {
-                fw.ledger().charge(first.0, first.1);
-                1
-            }
-            Some(second) => {
-                let mut charges = Vec::with_capacity(batch.len());
-                charges.push(first);
-                charges.push(second);
-                charges.extend(accepted);
-                let charged = charges.len();
-                fw.ledger().charge_batch(charges);
-                charged
-            }
-        }
+        let charges: Vec<(IpAddr, f64)> = batch
+            .iter()
+            .filter_map(|ctx| {
+                ctx.outcome
+                    .as_ref()
+                    .expect("pipeline invariant: the verify stage settles every solution")
+                    .as_ref()
+                    .ok()
+                    .map(|token| (ctx.claimed_ip, token.difficulty.expected_attempts()))
+            })
+            .collect();
+        let charged = charges.len();
+        fw.ledger().charge_batch(charges);
+        charged
     }
 }
 
@@ -663,42 +583,6 @@ impl AdmissionStage<SolutionCtx<'_>> for SolutionTelemetryStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
-        if let [ctx] = batch {
-            match ctx
-                .outcome
-                .as_ref()
-                .expect("pipeline invariant: the verify stage settles every solution")
-            {
-                Ok(token) => {
-                    fw.metrics().solutions_accepted.inc();
-                    fw.audit().record(
-                        now_ms,
-                        ctx.claimed_ip,
-                        AuditKind::SolutionAccepted {
-                            difficulty: token.difficulty,
-                        },
-                    );
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_solution(ctx.claimed_ip, now_ms, Ok(token.difficulty));
-                    }
-                }
-                Err(err) => {
-                    fw.metrics().record_rejection(reason_label(err));
-                    fw.audit().record(
-                        now_ms,
-                        ctx.claimed_ip,
-                        AuditKind::SolutionRejected {
-                            reason: err.to_string(),
-                        },
-                    );
-                    if let Some(sink) = fw.behavior_sink() {
-                        sink.on_solution(ctx.claimed_ip, now_ms, Err(err));
-                    }
-                }
-            }
-            return 1;
-        }
-
         let mut accepted = 0u64;
         let mut audit_events = Vec::with_capacity(batch.len());
         let mut observations = Vec::with_capacity(batch.len());
@@ -727,9 +611,7 @@ impl AdmissionStage<SolutionCtx<'_>> for SolutionTelemetryStage {
                     audit_events.push(crate::AuditEvent {
                         at_ms: now_ms,
                         client_ip: ctx.claimed_ip,
-                        kind: AuditKind::SolutionRejected {
-                            reason: err.to_string(),
-                        },
+                        kind: AuditKind::SolutionRejected { error: *err },
                     });
                     observations.push(SolutionObservation {
                         ip: ctx.claimed_ip,

@@ -77,24 +77,18 @@ impl HmacDrbg {
         out
     }
 
-    /// Produces a fixed 16-byte seed, the size used by puzzle challenges.
-    pub fn generate_seed16(&mut self) -> [u8; 16] {
-        self.generate(16)
-            .try_into()
-            .expect("DRBG invariant: generate(16) returns exactly 16 bytes")
-    }
-
-    /// Produces `n` 16-byte seeds from a single generate request.
+    /// Produces `n` 16-byte seeds, the size used by puzzle challenges,
+    /// from a single generate request.
     ///
     /// One HMAC block yields two seeds and the post-request
     /// `HMAC_DRBG_Update` runs once for the whole batch instead of once
     /// per seed, so bulk issuance pays roughly a fifth of the per-seed
-    /// hash work of `n` separate [`generate_seed16`](Self::generate_seed16)
-    /// calls. The seeds are distinct draws of the stream (uniqueness is
-    /// the same property as consecutive single draws); the *sequence*
-    /// differs from `n` single calls because the state advances once, not
-    /// `n` times — callers rely on unpredictability and uniqueness, never
-    /// on the sequence itself.
+    /// hash work of `n` separate one-seed calls. The seeds are distinct
+    /// draws of the stream (uniqueness is the same property as
+    /// consecutive one-seed draws); the *sequence* differs from `n`
+    /// one-seed calls because the state advances once, not `n` times —
+    /// callers rely on unpredictability and uniqueness, never on the
+    /// sequence itself.
     pub fn generate_seeds16(&mut self, n: usize) -> Vec<[u8; 16]> {
         let bytes = self.generate(16 * n);
         bytes
@@ -105,16 +99,6 @@ impl HmacDrbg {
                     .expect("chunks_exact invariant: every chunk is 16 bytes")
             })
             .collect()
-    }
-
-    /// Produces a u64, useful for deriving per-stream RNG seeds.
-    pub fn generate_u64(&mut self) -> u64 {
-        let bytes = self.generate(8);
-        u64::from_be_bytes(
-            bytes
-                .try_into()
-                .expect("DRBG invariant: generate(8) returns exactly 8 bytes"),
-        )
     }
 }
 
@@ -175,7 +159,7 @@ mod tests {
         let mut d = HmacDrbg::new(b"uniqueness", b"seeds");
         let mut seen = HashSet::new();
         for _ in 0..10_000 {
-            assert!(seen.insert(d.generate_seed16()), "seed collision");
+            assert!(seen.insert(d.generate_seeds16(1)[0]), "seed collision");
         }
     }
 
@@ -190,9 +174,9 @@ mod tests {
                 assert!(seen.insert(seed), "seed collision in bulk draw");
             }
         }
-        // Interleaving with single draws stays collision-free too.
+        // Interleaving with one-seed draws stays collision-free too.
         for _ in 0..100 {
-            assert!(seen.insert(d.generate_seed16()));
+            assert!(seen.insert(d.generate_seeds16(1)[0]));
         }
     }
 

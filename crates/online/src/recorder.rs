@@ -284,34 +284,6 @@ impl BehaviorRecorder {
         Some(sketch)
     }
 
-    /// Runs `update` on `ip`'s decayed sketch, creating it if absent and
-    /// evicting the shard's least-recently-seen sketch when the shard is
-    /// at capacity.
-    ///
-    /// The per-shard eviction protocol
-    /// ([`ShardedMap::update_or_insert_evicting_in_shard`]) keeps this a
-    /// *single* shard-lock acquisition with a scan bounded by
-    /// `capacity / shard_count` — the tap sits on the admission hot
-    /// path, and an attacker cycling source addresses drives exactly the
-    /// insert-at-capacity case, so an all-shard victim scan here would
-    /// hand the flood a per-request O(capacity) amplifier.
-    fn touch(&self, ip: IpAddr, now_ms: u64, update: impl FnOnce(&mut ClientSketch)) {
-        let half_life = self.half_life_ms;
-        let (_, evicted) = self.sketches.update_or_insert_evicting_in_shard(
-            ip,
-            self.per_shard_capacity,
-            |sketch: &ClientSketch| eviction_score(sketch, half_life),
-            || ClientSketch::new(now_ms),
-            |sketch| {
-                bump(sketch, now_ms, half_life);
-                update(sketch);
-            },
-        );
-        if evicted {
-            self.evicted.inc();
-        }
-    }
-
     /// Removes sketches whose decayed event weight at `now_ms` has fallen
     /// below `prune_below` (the client is fully forgotten — redemption
     /// complete). Returns the number pruned.
@@ -382,7 +354,7 @@ fn apply_accepted(sketch: &mut ClientSketch, now_ms: u64) {
 }
 
 /// Applies one rejected-solution observation to a sketch (see the
-/// [`BehaviorSink::on_solution`] impl for why expiry and clock skew are
+/// [`BehaviorSink::on_solution_batch`] impl for why expiry and clock skew are
 /// not counted as abuse).
 fn apply_rejected(sketch: &mut ClientSketch, err: &VerifyError) {
     match err {
@@ -392,18 +364,26 @@ fn apply_rejected(sketch: &mut ClientSketch, err: &VerifyError) {
     }
 }
 
+/// The tap is batch-first: the single-event methods are batches of one,
+/// so every sketch-update rule is written once, in
+/// [`on_request_batch`](BehaviorSink::on_request_batch) and
+/// [`on_solution_batch`](BehaviorSink::on_solution_batch).
 impl BehaviorSink for BehaviorRecorder {
     fn on_request(
         &self,
         ip: IpAddr,
         now_ms: u64,
-        _score: ReputationScore,
+        score: ReputationScore,
         difficulty: Option<Difficulty>,
     ) {
-        self.total_requests.inc();
-        self.touch(ip, now_ms, |sketch| {
-            apply_request(sketch, now_ms, difficulty);
-        });
+        self.on_request_batch(
+            now_ms,
+            &[RequestObservation {
+                ip,
+                score,
+                difficulty,
+            }],
+        );
     }
 
     fn on_rate_limited(&self, ip: IpAddr, now_ms: u64) {
@@ -424,40 +404,28 @@ impl BehaviorSink for BehaviorRecorder {
     }
 
     fn on_solution(&self, ip: IpAddr, now_ms: u64, outcome: Result<Difficulty, &VerifyError>) {
-        match outcome {
-            // An accepted solution may create a sketch: admission was
-            // *paid for* in hashes, so this is not a spammable
-            // state-creation primitive.
-            Ok(_) => self.touch(ip, now_ms, |sketch| apply_accepted(sketch, now_ms)),
-            // Failed solutions update only *existing* sketches.
-            // SubmitSolution is not rate-limited (the client supposedly
-            // already paid), so letting a garbage solution create a
-            // sketch — one whose abuse weight makes it eviction-sticky —
-            // would let an address-cycling attacker fill the table with
-            // junk that displaces idle honest clients' history for free.
-            // A pure solution-spammer with no admitted request leaves no
-            // state; the verifier already rejects it cheaply. (Expiry
-            // and clock skew are not abuse — see `apply_rejected`: an
-            // honest-but-slow client must read as abandonment, or slow
-            // clients spiral toward max difficulty.)
-            Err(e) => {
-                let half_life = self.half_life_ms;
-                self.sketches.with_mut(&ip, |sketch| {
-                    bump(sketch, now_ms, half_life);
-                    apply_rejected(sketch, e);
-                });
-            }
-        }
+        self.on_solution_batch(now_ms, &[SolutionObservation { ip, outcome }]);
     }
 
+    /// Each observation updates `ip`'s decayed sketch, creating it if
+    /// absent and evicting the shard's least-recently-seen sketch when
+    /// the shard is at capacity.
+    ///
+    /// One lock acquisition per recorder shard per batch; within a
+    /// shard, observations apply in their original batch order. The
+    /// per-shard eviction protocol
+    /// ([`ShardHandle::update_or_insert_evicting`](aipow_shard::ShardHandle::update_or_insert_evicting))
+    /// bounds the victim scan by `capacity / shard_count` — the tap sits
+    /// on the admission hot path, and an attacker cycling source
+    /// addresses drives exactly the insert-at-capacity case, so an
+    /// all-shard victim scan here would hand the flood a per-request
+    /// O(capacity) amplifier.
     fn on_request_batch(&self, now_ms: u64, batch: &[RequestObservation]) {
         self.total_requests.add(batch.len() as u64);
         let half_life = self.half_life_ms;
         let mut evicted_count = 0u64;
         let items: Vec<(IpAddr, Option<Difficulty>)> =
             batch.iter().map(|obs| (obs.ip, obs.difficulty)).collect();
-        // One lock acquisition per recorder shard per batch; within a
-        // shard, observations apply in their original batch order.
         self.sketches
             .with_shards_grouped(items, |shard, ip, difficulty| {
                 let (_, evicted) = shard.update_or_insert_evicting(
@@ -487,8 +455,9 @@ impl BehaviorSink for BehaviorRecorder {
         self.sketches
             .with_shards_grouped(items, |shard, ip, outcome| {
                 match outcome {
-                    // Accepted solutions may create sketches (paid for in
-                    // hashes), exactly as the single-event tap.
+                    // An accepted solution may create a sketch: admission
+                    // was *paid for* in hashes, so this is not a spammable
+                    // state-creation primitive.
                     Ok(_) => {
                         let (_, evicted) = shard.update_or_insert_evicting(
                             ip,
@@ -504,7 +473,19 @@ impl BehaviorSink for BehaviorRecorder {
                             evicted_count += 1;
                         }
                     }
-                    // Failed solutions update only existing sketches.
+                    // Failed solutions update only *existing* sketches.
+                    // SubmitSolution is not rate-limited (the client
+                    // supposedly already paid), so letting a garbage
+                    // solution create a sketch — one whose abuse weight
+                    // makes it eviction-sticky — would let an
+                    // address-cycling attacker fill the table with junk
+                    // that displaces idle honest clients' history for
+                    // free. A pure solution-spammer with no admitted
+                    // request leaves no state; the verifier already
+                    // rejects it cheaply. (Expiry and clock skew are not
+                    // abuse — see `apply_rejected`: an honest-but-slow
+                    // client must read as abandonment, or slow clients
+                    // spiral toward max difficulty.)
                     Err(e) => {
                         if let Some(sketch) = shard.get_mut(&ip) {
                             bump(sketch, now_ms, half_life);

@@ -136,12 +136,7 @@ impl Issuer {
     /// Issues a `difficulty`-difficult SHA-256-backend challenge bound to
     /// `client_ip`, timestamped now.
     pub fn issue(&self, client_ip: IpAddr, difficulty: Difficulty) -> Challenge {
-        self.issue_at(client_ip, difficulty, self.clock.now_ms())
-    }
-
-    /// Issues a SHA-256-backend challenge with an explicit timestamp.
-    pub fn issue_at(&self, client_ip: IpAddr, difficulty: Difficulty, now_ms: u64) -> Challenge {
-        self.issue_backend_at(client_ip, difficulty, BackendId::SHA256, now_ms)
+        self.issue_backend(client_ip, difficulty, BackendId::SHA256)
     }
 
     /// Issues a challenge for an explicit puzzle backend, timestamped now.
@@ -155,7 +150,8 @@ impl Issuer {
     }
 
     /// Issues a challenge for an explicit puzzle backend with an explicit
-    /// timestamp.
+    /// timestamp: a batch of one through
+    /// [`issue_batch_backend_at`](Self::issue_batch_backend_at).
     ///
     /// # Panics
     ///
@@ -168,32 +164,20 @@ impl Issuer {
         backend: BackendId,
         now_ms: u64,
     ) -> Challenge {
-        let seed: [u8; SEED_LEN] = self.drbg.lock().generate_seed16();
-        self.issue_with_seed(client_ip, difficulty, backend, now_ms, seed)
+        self.issue_batch_backend_at(&[(client_ip, difficulty, backend)], now_ms)
+            .pop()
+            .expect("batch invariant: one challenge per request")
     }
 
-    /// Issues one challenge per `(client_ip, difficulty)` request, all
-    /// timestamped `now_ms`, taking the seed DRBG's lock **once** for the
-    /// whole batch (a bulk draw is also cheaper per seed than repeated
-    /// single draws — see [`HmacDrbg::generate_seeds16`]). The per-batch
-    /// savings are exactly the per-issue fixed costs: one lock handoff
-    /// and one DRBG state advance instead of one each per challenge; the
-    /// per-challenge MAC is inherent and stays.
-    pub fn issue_batch_at(&self, requests: &[(IpAddr, Difficulty)], now_ms: u64) -> Vec<Challenge> {
-        let seeds = self.drbg.lock().generate_seeds16(requests.len());
-        requests
-            .iter()
-            .zip(seeds)
-            .map(|(&(client_ip, difficulty), seed)| {
-                self.issue_with_seed(client_ip, difficulty, BackendId::SHA256, now_ms, seed)
-            })
-            .collect()
-    }
-
-    /// As [`issue_batch_at`](Self::issue_batch_at), but with a per-request
-    /// puzzle backend — the batch entry point the policy-routed pipeline
-    /// dispatches through (different clients in one drained batch may be
-    /// routed to different backends).
+    /// Issues one challenge per `(client_ip, difficulty, backend)`
+    /// request, all timestamped `now_ms`: the one mint path. Different
+    /// clients in one drained batch may be routed to different backends.
+    /// The seed DRBG's lock is taken **once** for the whole batch, and a
+    /// bulk draw is cheaper per seed than repeated single draws (see
+    /// [`HmacDrbg::generate_seeds16`]). The per-batch savings are exactly
+    /// the per-issue fixed costs: one lock handoff and one DRBG state
+    /// advance instead of one each per challenge; the per-challenge MAC
+    /// is inherent and stays.
     ///
     /// # Panics
     ///
@@ -208,7 +192,7 @@ impl Issuer {
             .iter()
             .zip(seeds)
             .map(|(&(client_ip, difficulty, backend), seed)| {
-                self.issue_with_seed(client_ip, difficulty, backend, now_ms, seed)
+                self.mint(client_ip, difficulty, backend, now_ms, seed)
             })
             .collect()
     }
@@ -223,9 +207,9 @@ impl Issuer {
             .unwrap_or_else(|| backend.default_param())
     }
 
-    /// The shared mint body: builds and MACs one challenge from an
-    /// already-drawn seed.
-    fn issue_with_seed(
+    /// The mint body: builds and MACs one challenge from an already-drawn
+    /// seed.
+    fn mint(
         &self,
         client_ip: IpAddr,
         difficulty: Difficulty,
@@ -354,7 +338,7 @@ mod tests {
     #[test]
     fn issue_at_controls_timestamp() {
         let issuer = Issuer::new(&[7u8; 32]);
-        let c = issuer.issue_at(ip(), Difficulty::ZERO, 123_456);
+        let c = issuer.issue_backend_at(ip(), Difficulty::ZERO, BackendId::SHA256, 123_456);
         assert_eq!(c.issued_at_ms(), 123_456);
     }
 
@@ -363,14 +347,14 @@ mod tests {
         let issuer = Issuer::new(&[9u8; 32]).with_ttl_ms(5_000);
         let other = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 77));
         let requests = vec![
-            (ip(), Difficulty::new(3).unwrap()),
-            (other, Difficulty::new(7).unwrap()),
-            (ip(), Difficulty::ZERO),
+            (ip(), Difficulty::new(3).unwrap(), BackendId::SHA256),
+            (other, Difficulty::new(7).unwrap(), BackendId::SHA256),
+            (ip(), Difficulty::ZERO, BackendId::SHA256),
         ];
-        let batch = issuer.issue_batch_at(&requests, 9_000);
+        let batch = issuer.issue_batch_backend_at(&requests, 9_000);
         assert_eq!(batch.len(), 3);
         let mut seeds = HashSet::new();
-        for (c, &(want_ip, want_d)) in batch.iter().zip(&requests) {
+        for (c, &(want_ip, want_d, _)) in batch.iter().zip(&requests) {
             assert_eq!(c.client_ip(), want_ip);
             assert_eq!(c.difficulty(), want_d);
             assert_eq!(c.issued_at_ms(), 9_000);
@@ -385,7 +369,7 @@ mod tests {
             ));
         }
         // Empty batches are a no-op, not a panic.
-        assert!(issuer.issue_batch_at(&[], 9_000).is_empty());
+        assert!(issuer.issue_batch_backend_at(&[], 9_000).is_empty());
         // Seeds stay unique across batch and single draws.
         let single = issuer.issue(ip(), Difficulty::ZERO);
         assert!(seeds.insert(*single.seed()));
@@ -408,7 +392,7 @@ mod tests {
             c.tag()
         ));
         // Default (unconfigured) issuance keeps the SHA-256 backend.
-        let plain = issuer.issue_at(ip(), Difficulty::ZERO, 7_000);
+        let plain = issuer.issue(ip(), Difficulty::ZERO);
         assert_eq!(plain.backend(), BackendId::SHA256);
         assert_eq!(plain.backend_param(), 0);
     }

@@ -3,11 +3,14 @@
 //! “Puzzle verification is \[a\] light weight block used to verify the
 //! client's solution and offer response if correct solution is returned.”
 //!
-//! Verification performs, in order: version check, backend checks (known
-//! id, challenge/solution agreement, parameter bounds), difficulty-cap
-//! check, MAC authentication (constant-time), client binding, freshness
-//! window, replay check, and finally the single work-function evaluation
-//! that checks the work itself — dispatched through the challenge's
+//! Every solution runs through one implementation,
+//! [`PreparedVerify::verify_many`]; the sequential entry points
+//! ([`Verifier::verify`], [`Verifier::verify_at`]) pass it a batch of
+//! one. Each submission fails with the first failing check of a fixed
+//! order, which is stated once, on the sequential reference oracle in
+//! this module's tests (`tests::oracle`); the staged batch path is
+//! property-tested against it at every lane width. The work function is
+//! dispatched through the challenge's
 //! [`PuzzleBackend`](crate::backend::PuzzleBackend). For the default
 //! SHA-256 backend total cost is two hash-block pipelines regardless of
 //! the puzzle difficulty — measured in bench `verify_cost` (claim C6).
@@ -287,7 +290,10 @@ impl Verifier {
         claimed_ip: IpAddr,
         now_ms: u64,
     ) -> Result<VerifiedToken, VerifyError> {
-        self.prepare_at(now_ms).verify_one(solution, claimed_ip)
+        self.prepare_at(now_ms)
+            .verify_many(&[(solution, claimed_ip)])
+            .pop()
+            .expect("batch invariant: one outcome per submission")
     }
 
     /// Hoists the per-call verification context — the clock reading and
@@ -340,133 +346,30 @@ impl PreparedVerify<'_> {
         self.now_ms
     }
 
-    /// Verifies one solution under the prepared context.
-    ///
-    /// # Errors
-    ///
-    /// As [`Verifier::verify`].
-    pub fn verify_one(
-        &self,
-        solution: &Solution,
-        claimed_ip: IpAddr,
-    ) -> Result<VerifiedToken, VerifyError> {
-        let challenge = &solution.challenge;
-        let now_ms = self.now_ms;
-
-        if challenge.version() != CHALLENGE_VERSION {
-            return Err(VerifyError::UnsupportedVersion {
-                got: challenge.version(),
-            });
-        }
-        let backend =
-            self.verifier
-                .registry
-                .get(challenge.backend())
-                .ok_or(VerifyError::UnknownBackend {
-                    got: challenge.backend(),
-                })?;
-        if solution.backend != challenge.backend() {
-            return Err(VerifyError::BackendMismatch {
-                challenge: challenge.backend(),
-                solution: solution.backend,
-            });
-        }
-        if !backend.validate_param(challenge.backend_param()) {
-            return Err(VerifyError::InvalidBackendParam {
-                got: challenge.backend_param(),
-            });
-        }
-        if challenge.difficulty() > self.verifier.difficulty_cap {
-            return Err(VerifyError::DifficultyTooHigh {
-                got: challenge.difficulty(),
-                cap: self.verifier.difficulty_cap,
-            });
-        }
-        if !solution.width.fits(solution.nonce) {
-            return Err(VerifyError::MalformedNonce);
-        }
-        if !self
-            .verifier
-            .mac_key
-            .verify(&challenge.authenticated_bytes(), challenge.tag())
-        {
-            return Err(VerifyError::BadMac);
-        }
-        if challenge.client_ip() != claimed_ip {
-            return Err(VerifyError::ClientMismatch);
-        }
-        if challenge.issued_at_ms() > self.not_before_horizon {
-            return Err(VerifyError::NotYetValid);
-        }
-        if challenge.is_expired(now_ms) {
-            return Err(VerifyError::Expired {
-                expired_at_ms: challenge.expires_at_ms(),
-                now_ms,
-            });
-        }
-
-        // The work check precedes replay marking so that invalid work does
-        // not consume the seed.
-        let mut preimage = challenge.preimage_prefix(claimed_ip);
-        preimage.extend_from_slice(&solution.width.encode(solution.nonce));
-        let got_bits = backend
-            .work_digest(challenge.backend_param(), &preimage)
-            .leading_zero_bits();
-        let need_bits = challenge.difficulty().bits() as u32;
-        if got_bits < need_bits {
-            return Err(VerifyError::InsufficientWork {
-                got_bits,
-                need_bits,
-            });
-        }
-
-        if !self.verifier.replay.check_and_insert(
-            challenge.seed(),
-            challenge.expires_at_ms(),
-            now_ms,
-        ) {
-            return Err(VerifyError::Replayed);
-        }
-
-        Ok(VerifiedToken {
-            client_ip: claimed_ip,
-            difficulty: challenge.difficulty(),
-            seed: *challenge.seed(),
-            verified_at_ms: now_ms,
-        })
-    }
-
     /// Verifies a batch of submissions under the prepared context,
     /// routing the two hash-bound checks — challenge MACs and work
     /// digests — through the multi-buffer SHA-256 kernel at the
     /// verifier's configured lane width.
     ///
-    /// Observably identical to calling [`verify_one`](Self::verify_one)
-    /// on each submission in order: checks are staged (cheap shape
-    /// checks, then batched MACs, then binding/freshness, then batched
-    /// work digests, then replay marking) but each submission still
-    /// fails with the error its *first* failing check would report, and
-    /// replay marking happens in submission order as the final step, so
-    /// duplicate seeds within one batch behave exactly as sequential
-    /// submissions. The staging is sound because the MAC and work checks
-    /// read no mutable verifier state.
+    /// This is the only check implementation; a batch of one is the
+    /// scalar case. Observably identical to verifying each submission in
+    /// order, one at a time: checks are staged (cheap shape checks, then
+    /// batched MACs, then binding/freshness, then batched work digests,
+    /// then replay marking) but each submission still fails with the
+    /// error its *first* failing check would report, and replay marking
+    /// happens in submission order as the final step, so duplicate seeds
+    /// within one batch behave exactly as sequential submissions. The
+    /// staging is sound because the MAC and work checks read no mutable
+    /// verifier state.
     ///
     /// Same-length preimages are grouped into full 8- or 4-wide lanes by
-    /// the kernel; ragged tails and odd shapes fall back to scalar
-    /// hashing per message. A lane width of 1 (or a batch of fewer than
-    /// two live submissions) takes the scalar path outright.
+    /// the kernel; ragged tails, odd shapes, small batches and a lane
+    /// width of 1 fall back to scalar hashing per message.
     pub fn verify_many(
         &self,
         submissions: &[(&Solution, IpAddr)],
     ) -> Vec<Result<VerifiedToken, VerifyError>> {
-        let lanes = self.verifier.verify_lanes();
-        if lanes <= 1 || submissions.len() < 2 {
-            return submissions
-                .iter()
-                .map(|(solution, ip)| self.verify_one(solution, *ip))
-                .collect();
-        }
-
+        let lanes = self.verifier.verify_lanes;
         let cap = self.verifier.difficulty_cap;
         let mut out: Vec<Option<Result<VerifiedToken, VerifyError>>> =
             vec![None; submissions.len()];
@@ -666,6 +569,274 @@ mod tests {
         (issuer, verifier, clock, sol)
     }
 
+    /// The sequential reference oracle: verifies one solution by running
+    /// the checks one after another, in the order every verification
+    /// must report them. The first failing check decides the error:
+    ///
+    /// 1. challenge version (`UnsupportedVersion`);
+    /// 2. backend: registered id (`UnknownBackend`), challenge/solution
+    ///    agreement (`BackendMismatch`), parameter bounds
+    ///    (`InvalidBackendParam`);
+    /// 3. difficulty cap (`DifficultyTooHigh`);
+    /// 4. nonce fits its declared width (`MalformedNonce`);
+    /// 5. challenge MAC, compared in constant time (`BadMac`);
+    /// 6. client binding (`ClientMismatch`);
+    /// 7. freshness: issued within the skew horizon (`NotYetValid`), TTL
+    ///    not elapsed (`Expired`);
+    /// 8. the work itself, one work-function evaluation
+    ///    (`InsufficientWork`);
+    /// 9. replay marking (`Replayed`). It comes after the work check so
+    ///    that invalid work does not consume the seed.
+    ///
+    /// It uses the scalar MAC and work-function entry points, so a test
+    /// against it checks the staged batch path and the multi-buffer
+    /// kernel together.
+    fn oracle(
+        p: &PreparedVerify<'_>,
+        solution: &Solution,
+        claimed_ip: IpAddr,
+    ) -> Result<VerifiedToken, VerifyError> {
+        let challenge = &solution.challenge;
+        let verifier = p.verifier;
+        if challenge.version() != CHALLENGE_VERSION {
+            return Err(VerifyError::UnsupportedVersion {
+                got: challenge.version(),
+            });
+        }
+        let backend =
+            verifier
+                .registry
+                .get(challenge.backend())
+                .ok_or(VerifyError::UnknownBackend {
+                    got: challenge.backend(),
+                })?;
+        if solution.backend != challenge.backend() {
+            return Err(VerifyError::BackendMismatch {
+                challenge: challenge.backend(),
+                solution: solution.backend,
+            });
+        }
+        if !backend.validate_param(challenge.backend_param()) {
+            return Err(VerifyError::InvalidBackendParam {
+                got: challenge.backend_param(),
+            });
+        }
+        if challenge.difficulty() > verifier.difficulty_cap {
+            return Err(VerifyError::DifficultyTooHigh {
+                got: challenge.difficulty(),
+                cap: verifier.difficulty_cap,
+            });
+        }
+        if !solution.width.fits(solution.nonce) {
+            return Err(VerifyError::MalformedNonce);
+        }
+        if !verifier
+            .mac_key
+            .verify(&challenge.authenticated_bytes(), challenge.tag())
+        {
+            return Err(VerifyError::BadMac);
+        }
+        if challenge.client_ip() != claimed_ip {
+            return Err(VerifyError::ClientMismatch);
+        }
+        if challenge.issued_at_ms() > p.not_before_horizon {
+            return Err(VerifyError::NotYetValid);
+        }
+        if challenge.is_expired(p.now_ms) {
+            return Err(VerifyError::Expired {
+                expired_at_ms: challenge.expires_at_ms(),
+                now_ms: p.now_ms,
+            });
+        }
+        let mut preimage = challenge.preimage_prefix(claimed_ip);
+        preimage.extend_from_slice(&solution.width.encode(solution.nonce));
+        let got_bits = backend
+            .work_digest(challenge.backend_param(), &preimage)
+            .leading_zero_bits();
+        let need_bits = challenge.difficulty().bits() as u32;
+        if got_bits < need_bits {
+            return Err(VerifyError::InsufficientWork {
+                got_bits,
+                need_bits,
+            });
+        }
+        if !verifier
+            .replay
+            .check_and_insert(challenge.seed(), challenge.expires_at_ms(), p.now_ms)
+        {
+            return Err(VerifyError::Replayed);
+        }
+        Ok(VerifiedToken {
+            client_ip: claimed_ip,
+            difficulty: challenge.difficulty(),
+            seed: *challenge.seed(),
+            verified_at_ms: p.now_ms,
+        })
+    }
+
+    /// The instant the outcome-class fixtures are verified at.
+    const NOW_MS: u64 = 1_000_000;
+
+    /// A fresh verifier (empty replay guard) at `lanes`, matching the
+    /// issuer of [`outcome_classes`].
+    fn fresh_verifier(lanes: usize) -> Verifier {
+        Verifier::with_clock(&KEY, Arc::new(ManualClock::at(NOW_MS))).with_verify_lanes(lanes)
+    }
+
+    /// Runs `submissions` through the oracle, in order, on a fresh
+    /// verifier.
+    fn oracle_outcomes(
+        submissions: &[(Solution, IpAddr)],
+    ) -> Vec<Result<VerifiedToken, VerifyError>> {
+        let verifier = fresh_verifier(1);
+        let prepared = verifier.prepare_at(NOW_MS);
+        submissions
+            .iter()
+            .map(|(solution, ip)| oracle(&prepared, solution, *ip))
+            .collect()
+    }
+
+    /// Runs `submissions` through `verify_many` on a fresh verifier at
+    /// `lanes`.
+    fn staged_outcomes(
+        submissions: &[(Solution, IpAddr)],
+        lanes: usize,
+    ) -> Vec<Result<VerifiedToken, VerifyError>> {
+        let verifier = fresh_verifier(lanes);
+        assert_eq!(verifier.verify_lanes(), lanes);
+        let refs: Vec<(&Solution, IpAddr)> = submissions.iter().map(|(s, ip)| (s, *ip)).collect();
+        verifier.prepare_at(NOW_MS).verify_many(&refs)
+    }
+
+    /// One submission per check outcome, mixed V4/V6 clients so the
+    /// kernel sees ragged preimage lengths. Each entry's expected error
+    /// (against a fresh verifier, in this order) is asserted in
+    /// `wide_batch_outcomes_match_scalar_for_every_error_class`. Built
+    /// once: solving is the slow part.
+    fn outcome_classes() -> &'static [(Solution, IpAddr)] {
+        static CLASSES: std::sync::OnceLock<Vec<(Solution, IpAddr)>> = std::sync::OnceLock::new();
+        CLASSES.get_or_init(|| {
+            use crate::backend::BackendId;
+            let issuer = Issuer::with_clock(&KEY, Arc::new(ManualClock::at(NOW_MS)))
+                .with_backend_param(BackendId::MEMORY_HARD, 1);
+            let v6 = IpAddr::V6("2001:db8::7".parse().unwrap());
+            let other = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 99));
+            let solve_at = |ip: IpAddr, d: u8, backend: BackendId, at_ms: u64| {
+                let c = issuer.issue_backend_at(ip, Difficulty::new(d).unwrap(), backend, at_ms);
+                solver::solve(&c, ip, &SolverOptions::default())
+                    .unwrap()
+                    .solution
+            };
+            let solve = |ip: IpAddr, d: u8| solve_at(ip, d, BackendId::SHA256, NOW_MS);
+
+            let good4 = solve(ip(), 4);
+            let good6 = solve(v6, 3);
+            let c = good4.challenge.clone();
+            // Rebuilds `good4`'s challenge with some fields replaced.
+            let forge = |version: u8, backend: BackendId, param: u8, tag: [u8; 32]| {
+                Challenge::from_parts_backend(
+                    version,
+                    backend,
+                    param,
+                    *c.seed(),
+                    c.issued_at_ms(),
+                    c.ttl_ms(),
+                    c.difficulty(),
+                    c.client_ip(),
+                    tag,
+                )
+            };
+            let mut tag = *c.tag();
+            tag[7] ^= 0x80;
+            let bad_mac = Solution {
+                challenge: forge(c.version(), c.backend(), c.backend_param(), tag),
+                ..good4.clone()
+            };
+            let bad_version = Solution {
+                challenge: forge(99, c.backend(), c.backend_param(), *c.tag()),
+                ..good4.clone()
+            };
+            let bad_width = Solution {
+                nonce: u32::MAX as u64 + 1,
+                width: NonceWidth::U32,
+                ..good4.clone()
+            };
+            let expired = solve_at(ip(), 0, BackendId::SHA256, 1_000);
+            let future = solve_at(ip(), 0, BackendId::SHA256, NOW_MS + 10_000);
+            let weak = {
+                let c = issuer.issue(ip(), Difficulty::new(20).unwrap());
+                (0u64..)
+                    .map(|nonce| Solution::new(c.clone(), nonce, NonceWidth::U64))
+                    .find(|cand| !cand.meets_difficulty(ip()))
+                    .unwrap()
+            };
+            let good_mh = solve_at(ip(), 3, BackendId::MEMORY_HARD, NOW_MS);
+            let unknown_backend = Solution {
+                challenge: forge(c.version(), BackendId(77), 0, *c.tag()),
+                backend: BackendId(77),
+                ..good4.clone()
+            };
+            let mismatch = Solution {
+                backend: BackendId::MEMORY_HARD,
+                ..good4.clone()
+            };
+            let bad_param = Solution {
+                challenge: forge(c.version(), BackendId::MEMORY_HARD, 200, *c.tag()),
+                backend: BackendId::MEMORY_HARD,
+                ..good4.clone()
+            };
+            // Over the default 40-bit cap; never solved, the cap check
+            // precedes the work.
+            let over_cap = Solution::new(
+                issuer.issue(ip(), Difficulty::new(41).unwrap()),
+                0,
+                NonceWidth::U64,
+            );
+            // A second valid nonce for `good4`'s seed: a replay of the
+            // seed, not of the exact solution.
+            let good4_other_nonce = solver::solve(
+                &good4.challenge,
+                ip(),
+                &SolverOptions {
+                    start_nonce: good4.nonce + 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+            .solution;
+
+            // Insufficient work on `good4`'s seed: staged before
+            // `good4` in a batch, it must not consume the seed.
+            let good4_bad_nonce = (good4.nonce + 1..)
+                .map(|nonce| Solution {
+                    nonce,
+                    ..good4.clone()
+                })
+                .find(|cand| !cand.meets_difficulty(ip()))
+                .unwrap();
+
+            vec![
+                (good4.clone(), ip()),
+                (bad_version, ip()),
+                (good6.clone(), v6),
+                (bad_mac, ip()),
+                (good6, other), // ClientMismatch
+                (bad_width, ip()),
+                (expired, ip()),
+                (future, ip()),
+                (weak, ip()),
+                (good4, ip()), // intra-batch replay
+                (good_mh, ip()),
+                (unknown_backend, ip()),
+                (mismatch, ip()),
+                (bad_param, ip()),
+                (over_cap, ip()),
+                (good4_other_nonce, ip()), // replay under a new nonce
+                (good4_bad_nonce, ip()),
+            ]
+        })
+    }
+
     #[test]
     fn valid_solution_verifies() {
         let (_, verifier, _, sol) = setup(8);
@@ -721,148 +892,12 @@ mod tests {
 
     #[test]
     fn wide_batch_outcomes_match_scalar_for_every_error_class() {
-        // One submission per check outcome, mixed V4/V6 clients so the
-        // kernel sees ragged preimage lengths, verified at every lane
-        // width. All widths must agree with the scalar (lanes = 1) path
-        // item for item, including intra-batch replay ordering.
-        let build = |lanes: usize| {
-            let clock = ManualClock::at(1_000_000);
-            let issuer = Issuer::with_clock(&KEY, Arc::new(clock.clone()))
-                .with_backend_param(crate::backend::BackendId::MEMORY_HARD, 1);
-            let verifier = Verifier::with_clock(&KEY, Arc::new(clock)).with_verify_lanes(lanes);
-            (issuer, verifier)
-        };
-        let v6 = IpAddr::V6("2001:db8::7".parse().unwrap());
-        let other = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 99));
-        let (issuer, _) = build(1);
-        let solve = |ip: IpAddr, d: u8| {
-            let c = issuer.issue(ip, Difficulty::new(d).unwrap());
-            solver::solve(&c, ip, &SolverOptions::default())
-                .unwrap()
-                .solution
-        };
-
-        let good4 = solve(ip(), 4);
-        let good6 = solve(v6, 3);
-        let c = &good4.challenge;
-        let mut tag = *c.tag();
-        tag[7] ^= 0x80;
-        let bad_mac = Solution {
-            challenge: Challenge::from_parts(
-                c.version(),
-                *c.seed(),
-                c.issued_at_ms(),
-                c.ttl_ms(),
-                c.difficulty(),
-                c.client_ip(),
-                tag,
-            ),
-            ..good4.clone()
-        };
-        let bad_version = Solution {
-            challenge: Challenge::from_parts(
-                99,
-                *c.seed(),
-                c.issued_at_ms(),
-                c.ttl_ms(),
-                c.difficulty(),
-                c.client_ip(),
-                *c.tag(),
-            ),
-            ..good4.clone()
-        };
-        let bad_width = Solution {
-            nonce: u32::MAX as u64 + 1,
-            width: NonceWidth::U32,
-            ..good4.clone()
-        };
-        let expired = {
-            let c = issuer.issue_at(ip(), Difficulty::ZERO, 1_000);
-            solver::solve(&c, ip(), &SolverOptions::default())
-                .unwrap()
-                .solution
-        };
-        let future = {
-            let c = issuer.issue_at(ip(), Difficulty::ZERO, 1_010_000);
-            solver::solve(&c, ip(), &SolverOptions::default())
-                .unwrap()
-                .solution
-        };
-        let weak = {
-            let c = issuer.issue(ip(), Difficulty::new(20).unwrap());
-            let mut nonce = 0u64;
-            loop {
-                let cand = Solution::new(c.clone(), nonce, NonceWidth::U64);
-                if !cand.meets_difficulty(ip()) {
-                    break cand;
-                }
-                nonce += 1;
-            }
-        };
-        // Backend-seam outcomes: a valid memory-hard solution, an unknown
-        // backend id, a challenge/solution backend disagreement, and an
-        // out-of-bounds arena parameter.
+        // Every lane width, the scalar width 1 included, must agree with
+        // the sequential oracle item for item, including intra-batch
+        // replay ordering.
         use crate::backend::BackendId;
-        let good_mh = {
-            let c = issuer.issue_backend(ip(), Difficulty::new(3).unwrap(), BackendId::MEMORY_HARD);
-            solver::solve(&c, ip(), &SolverOptions::default())
-                .unwrap()
-                .solution
-        };
-        let unknown_backend = Solution {
-            challenge: Challenge::from_parts_backend(
-                c.version(),
-                BackendId(77),
-                0,
-                *c.seed(),
-                c.issued_at_ms(),
-                c.ttl_ms(),
-                c.difficulty(),
-                c.client_ip(),
-                *c.tag(),
-            ),
-            backend: BackendId(77),
-            ..good4.clone()
-        };
-        let mismatch = Solution {
-            backend: BackendId::MEMORY_HARD,
-            ..good4.clone()
-        };
-        let bad_param = Solution {
-            challenge: Challenge::from_parts_backend(
-                c.version(),
-                BackendId::MEMORY_HARD,
-                200,
-                *c.seed(),
-                c.issued_at_ms(),
-                c.ttl_ms(),
-                c.difficulty(),
-                c.client_ip(),
-                *c.tag(),
-            ),
-            backend: BackendId::MEMORY_HARD,
-            ..good4.clone()
-        };
-
-        let submissions = vec![
-            (good4.clone(), ip()),
-            (bad_version, ip()),
-            (good6.clone(), v6),
-            (bad_mac, ip()),
-            (good6.clone(), other), // ClientMismatch
-            (bad_width, ip()),
-            (expired, ip()),
-            (future, ip()),
-            (weak, ip()),
-            (good4.clone(), ip()), // intra-batch replay
-            (good_mh, ip()),
-            (unknown_backend, ip()),
-            (mismatch, ip()),
-            (bad_param, ip()),
-        ];
-
-        let (_, scalar) = build(1);
-        let want = scalar.verify_batch(&submissions);
+        let submissions = outcome_classes();
+        let want = oracle_outcomes(submissions);
         assert!(want[0].is_ok());
         assert!(matches!(
             want[1],
@@ -889,14 +924,21 @@ mod tests {
             })
         );
         assert_eq!(want[13], Err(VerifyError::InvalidBackendParam { got: 200 }));
+        assert!(matches!(
+            want[14],
+            Err(VerifyError::DifficultyTooHigh { .. })
+        ));
+        assert_eq!(want[15], Err(VerifyError::Replayed));
+        assert!(matches!(
+            want[16],
+            Err(VerifyError::InsufficientWork { .. })
+        ));
 
-        for lanes in 2..=sha256_wide::MAX_LANES {
-            let (_, wide) = build(lanes);
-            assert_eq!(wide.verify_lanes(), lanes);
+        for lanes in 1..=sha256_wide::MAX_LANES {
             assert_eq!(
-                wide.verify_batch(&submissions),
+                staged_outcomes(submissions, lanes),
                 want,
-                "lane width {lanes} diverged from scalar"
+                "lane width {lanes} diverged from the oracle"
             );
         }
     }
@@ -918,7 +960,7 @@ mod tests {
         // The wall clock races ahead past the TTL mid-batch; the prepared
         // context still verifies at its pinned instant.
         clock.advance(crate::issuer::DEFAULT_TTL_MS + 1);
-        let token = prepared.verify_one(&sol, ip()).unwrap();
+        let token = prepared.verify_many(&[(&sol, ip())]).remove(0).unwrap();
         assert_eq!(token.verified_at_ms, 1_000_000);
     }
 
@@ -958,7 +1000,8 @@ mod tests {
         let issuer = Issuer::with_clock(&KEY, Arc::new(clock.clone()));
         let verifier = Verifier::with_clock(&KEY, Arc::new(clock.clone()));
         // Issue 10 s in the future — beyond the 2 s default skew.
-        let c = issuer.issue_at(ip(), Difficulty::ZERO, 1_010_000);
+        let c =
+            issuer.issue_backend_at(ip(), Difficulty::ZERO, crate::BackendId::SHA256, 1_010_000);
         let sol = solver::solve(&c, ip(), &SolverOptions::default())
             .unwrap()
             .solution;
@@ -970,7 +1013,8 @@ mod tests {
         let clock = ManualClock::at(1_000_000);
         let issuer = Issuer::with_clock(&KEY, Arc::new(clock.clone()));
         let verifier = Verifier::with_clock(&KEY, Arc::new(clock.clone())).with_max_skew_ms(20_000);
-        let c = issuer.issue_at(ip(), Difficulty::ZERO, 1_010_000);
+        let c =
+            issuer.issue_backend_at(ip(), Difficulty::ZERO, crate::BackendId::SHA256, 1_010_000);
         let sol = solver::solve(&c, ip(), &SolverOptions::default())
             .unwrap()
             .solution;
@@ -1287,6 +1331,22 @@ mod tests {
                     .unwrap().solution;
                 prop_assert!(verifier.verify(&sol, client).is_ok());
                 prop_assert_eq!(verifier.verify(&sol, client), Err(VerifyError::Replayed));
+            }
+
+            /// Random mixes of every outcome class, with repeated picks
+            /// standing in for duplicated seeds inside a batch: the staged
+            /// path agrees with the sequential oracle at every lane width.
+            #[test]
+            fn staged_batches_match_the_oracle_at_every_width(
+                picks in proptest::collection::vec(0..outcome_classes().len(), 0..=24),
+            ) {
+                let pool = outcome_classes();
+                let submissions: Vec<(Solution, IpAddr)> =
+                    picks.iter().map(|&i| pool[i].clone()).collect();
+                let want = oracle_outcomes(&submissions);
+                for lanes in 1..=sha256_wide::MAX_LANES {
+                    prop_assert_eq!(staged_outcomes(&submissions, lanes), want.clone(), "lanes {}", lanes);
+                }
             }
 
             /// Any single-byte corruption of the tag is rejected.

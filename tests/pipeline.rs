@@ -121,7 +121,13 @@ fn audit_log_tells_the_whole_story() {
     let events = framework.audit().snapshot();
     assert_eq!(events.len(), 3);
     use aipow::framework::AuditKind;
-    assert!(matches!(events[0].kind, AuditKind::SolutionRejected { .. }));
+    use aipow::pow::VerifyError;
+    assert_eq!(
+        events[0].kind,
+        AuditKind::SolutionRejected {
+            error: VerifyError::Replayed
+        }
+    );
     assert!(matches!(events[1].kind, AuditKind::SolutionAccepted { .. }));
     assert!(matches!(events[2].kind, AuditKind::ChallengeIssued { .. }));
 }
