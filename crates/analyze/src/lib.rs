@@ -58,6 +58,7 @@ pub const ADMISSION_PATH_FILES: &[&str] = &[
     "crates/core/src/metrics.rs",
     "crates/core/src/tap.rs",
     "crates/online/src/recorder.rs",
+    "crates/pow/src/issuer.rs",
     "crates/pow/src/replay.rs",
 ];
 

@@ -11,12 +11,14 @@
 //!   close: remove, gate release, wheel drain) with 1k/10k/50k
 //!   connections already resident. The accept path must not slow down as
 //!   the table fills.
-//! - `connection_scaling_request` — request/reply exchange throughput
-//!   (wire decode through the frame assembler, batch dispatch through
-//!   the real admission pipeline, reply queued on the bounded outbound
-//!   queue) on active connections while 1k/10k/50k total connections are
-//!   resident. Idle connections must be free: a table slot, not a tax on
-//!   every exchange.
+//! - `connection_scaling_request` — frame exchange throughput on active
+//!   connections while 1k/10k/50k total connections are resident: wire
+//!   decode through the frame assembler, `dispatch_frames`, and the
+//!   reply queued on the bounded outbound queue. Each exchange is a
+//!   `Ping`, which `dispatch_frames` answers with a `Pong` without
+//!   entering the admission pipeline, so this measures the per-connection
+//!   framing and dispatch path, not admission. Idle connections must be
+//!   free: a table slot, not a tax on every exchange.
 //!
 //! The acceptance bar (enforced by `bench_gate` within-run, so it is
 //! machine-independent): request throughput at 50k resident connections

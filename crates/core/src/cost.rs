@@ -144,32 +144,14 @@ impl CostLedger {
         self.costs.global_eviction_folds()
     }
 
-    /// Adds `expected_work` (hash evaluations) to `ip`'s account.
+    /// Adds `expected_work` (hash evaluations) to `ip`'s account: a
+    /// batch of one through [`charge_batch`](Self::charge_batch).
     ///
     /// # Panics
     ///
     /// Panics if `expected_work` is negative or NaN.
     pub fn charge(&self, ip: IpAddr, expected_work: f64) {
-        assert!(
-            expected_work.is_finite() && expected_work >= 0.0,
-            "expected work must be finite and non-negative"
-        );
-        // A full shard evicts its cheapest account — never `ip`'s own,
-        // and never by scanning other shards (see
-        // `ShardedMap::update_or_insert_evicting_in_shard`) — to stay
-        // bounded.
-        let (_, evicted) = self.costs.update_or_insert_evicting_in_shard(
-            ip,
-            self.per_shard_capacity,
-            LowestCost,
-            || 0.0,
-            |cost| *cost += expected_work,
-        );
-        if evicted {
-            // relaxed: monotonic stats counter; incremented under the
-            // shard lock
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+        self.charge_batch(vec![(ip, expected_work)]);
     }
 
     /// Charges a batch of `(ip, expected_work)` entries, taking each

@@ -262,8 +262,8 @@ impl FrameworkBuilder {
     /// ([`Framework::handle_request_batch`],
     /// [`Framework::handle_solution_batch`]) push through one pipeline
     /// pass. Larger inputs are processed in chunks of this size, which
-    /// bounds how long one batch holds the policy read-lock, the DRBG
-    /// lock, and each audit/ledger shard lock. The TCP server drains at
+    /// bounds how long one batch holds the policy read-lock and each
+    /// audit/ledger shard lock. The TCP server drains at
     /// most this many pipelined frames per group. Clamped to a minimum
     /// of 1. Defaults to [`DEFAULT_MAX_BATCH`].
     pub fn max_batch(mut self, max_batch: usize) -> Self {
@@ -467,8 +467,9 @@ impl Framework {
     /// admits a group of requests through one pipeline pass per
     /// [`max_batch`](Self::max_batch)-sized chunk, amortizing the
     /// per-request fixed costs — one clock reading, one policy
-    /// read-lock, one seed-DRBG lock, one audit shard-lock acquisition
-    /// per shard, one batched sink delivery — across the group.
+    /// read-lock, one seed-counter reservation, one audit shard-lock
+    /// acquisition per shard, one batched sink delivery — across the
+    /// group.
     /// Decisions are returned in request order and are the values the
     /// sequential path would produce *given the same inputs*: every
     /// request in a chunk observes the chunk's one clock reading and

@@ -15,9 +15,10 @@
 //!   sequential entry points pass a batch of one), so the batch entry
 //!   points ([`Framework::handle_request_batch`],
 //!   [`Framework::handle_solution_batch`]) pay each fixed cost once per
-//!   group: one clock reading, one policy read-lock, one DRBG lock for
-//!   all seeds, one audit-shard lock acquisition per shard, one grouped
-//!   ledger charge, one batched sink notification.
+//!   group: one clock reading, one policy read-lock, one seed-counter
+//!   reservation and one wide MAC pass for all seeds and tags, one
+//!   audit-shard lock acquisition per shard, one grouped ledger charge,
+//!   one batched sink notification.
 //!
 //! The chains are:
 //!
@@ -373,8 +374,9 @@ impl AdmissionStage<RequestCtx<'_>> for PolicyStage {
 /// Figure-1 step 4: the issuer mints authenticated challenges. The
 /// framework's [`BackendRouter`](aipow_policy::BackendRouter) picks each
 /// client's puzzle backend from its score (suspicious clients can be
-/// routed to the memory-hard puzzle), then a batch takes the seed DRBG's
-/// lock once for all seeds
+/// routed to the memory-hard puzzle), then the batch reserves its seed
+/// counters with one atomic add and derives the seeds and tags in one
+/// wide MAC pass each, taking no lock
 /// ([`aipow_pow::Issuer::issue_batch_backend_at`]).
 struct IssueStage;
 
@@ -388,8 +390,8 @@ impl AdmissionStage<RequestCtx<'_>> for IssueStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        // An all-bypassed batch skips the issuer: even an empty draw
-        // takes the DRBG lock and advances its state.
+        // An all-bypassed batch skips the router context and the request
+        // allocation below.
         if batch.iter().all(|ctx| ctx.decision.is_some()) {
             return 0;
         }

@@ -12,7 +12,6 @@
 //!   blocks per round loop, written for autovectorization),
 //! - [`hmac`] — RFC 2104 / FIPS 198-1 HMAC-SHA-256,
 //! - [`hkdf`] — RFC 5869 HKDF-SHA-256 (extract / expand),
-//! - [`drbg`] — an HMAC-DRBG (SP 800-90A style) deterministic byte generator,
 //! - [`memmix`] — an Argon2-style memory-hard fill/mix arena (the work
 //!   function behind the memory-hard puzzle backend),
 //! - [`hex`] — hex encoding/decoding,
@@ -44,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod ct;
-pub mod drbg;
 pub mod hex;
 pub mod hkdf;
 pub mod hmac;
@@ -52,7 +50,6 @@ pub mod memmix;
 pub mod sha256;
 pub mod sha256_wide;
 
-pub use drbg::HmacDrbg;
 pub use hmac::{HmacKey, HmacSha256};
 pub use sha256::{Digest, Sha224, Sha256};
 pub use sha256_wide::{auto_lanes, WideHasher, MAX_LANES};

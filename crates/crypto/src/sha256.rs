@@ -303,17 +303,17 @@ impl Sha256 {
     /// Appends the FIPS 180-4 padding (0x80, zeros, 64-bit bit length).
     fn pad(&mut self) {
         let bit_len = self.total_len.wrapping_mul(8);
-        // 0x80 terminator.
-        let mut pad: Vec<u8> = Vec::with_capacity(72);
-        pad.push(0x80);
-        // Zeros until the block is 56 bytes mod 64.
+        // 0x80 terminator, then zeros until the block is 56 bytes mod 64,
+        // then the length: at most 1 + 63 + 8 bytes, built on the stack.
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
         let after = (self.buf_len + 1) % 64;
         let zeros = if after <= 56 { 56 - after } else { 120 - after };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
+        let len_at = 1 + zeros;
+        pad[len_at..len_at + 8].copy_from_slice(&bit_len.to_be_bytes());
         // Feed padding through the normal path without recounting length.
         let save_len = self.total_len;
-        self.update(&pad);
+        self.update(&pad[..len_at + 8]);
         self.total_len = save_len;
         debug_assert_eq!(self.buf_len, 0, "padding must end on a block boundary");
     }

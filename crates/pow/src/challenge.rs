@@ -101,6 +101,12 @@ impl Challenge {
         }
     }
 
+    /// This challenge with `tag` in place of its current tag: the issuer
+    /// builds challenges untagged, then MACs the whole batch at once.
+    pub(crate) fn with_tag(self, tag: [u8; 32]) -> Self {
+        Challenge { tag, ..self }
+    }
+
     /// Format version of this challenge.
     pub fn version(&self) -> u8 {
         self.version

@@ -9,11 +9,11 @@ use crate::backend::{BackendId, BackendRegistry};
 use crate::challenge::{Challenge, CHALLENGE_VERSION, SEED_LEN};
 use crate::difficulty::Difficulty;
 use crate::time::{SystemClock, TimeSource};
-use aipow_crypto::drbg::HmacDrbg;
 use aipow_crypto::hkdf;
 use aipow_crypto::hmac::HmacKey;
-use parking_lot::Mutex;
+use aipow_crypto::sha256_wide::auto_lanes;
 use std::net::IpAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default challenge validity window: 30 seconds, comfortably above the
@@ -23,10 +23,12 @@ pub const DEFAULT_TTL_MS: u64 = 30_000;
 
 /// The puzzle issuer.
 ///
-/// Challenges are minted with a unique 128-bit seed from an HMAC-DRBG and
-/// authenticated with a MAC key derived from the issuer's master key, so a
+/// Challenges are minted with a unique 128-bit seed — a keyed PRF of a
+/// per-issuer counter, `HMAC(seed_key, ctr)` truncated — and authenticated
+/// with a MAC key derived from the issuer's master key, so a
 /// [`Verifier`](crate::Verifier) constructed from the same key can check
-/// solutions statelessly.
+/// solutions statelessly. The counter makes seeds unique; the secret PRF
+/// key makes them unpredictable.
 ///
 /// The issuer is `Send + Sync`; one instance serves all connections.
 ///
@@ -45,7 +47,11 @@ pub struct Issuer {
     /// is tagged under the same key, so the schedule runs once here
     /// instead of once per issue.
     prepared_mac: HmacKey,
-    drbg: Mutex<HmacDrbg>,
+    /// The seed PRF key: seed `i` is `HMAC(seed_key, i as LE bytes)`,
+    /// truncated to [`SEED_LEN`] bytes.
+    seed_key: HmacKey,
+    /// The next unused seed counter.
+    next_seed: AtomicU64,
     ttl_ms: u64,
     clock: Arc<dyn TimeSource>,
     /// Backends this issuer may mint challenges for.
@@ -59,7 +65,7 @@ impl Issuer {
     /// Creates an issuer from a 32-byte master key with the default TTL and
     /// system clock.
     ///
-    /// The MAC key and the seed-generation state are derived from the master
+    /// The MAC key and the seed PRF key are derived from the master
     /// key with domain-separated HKDF labels, so the master key itself is
     /// never used directly.
     pub fn new(master_key: &[u8; 32]) -> Self {
@@ -69,11 +75,12 @@ impl Issuer {
     /// Creates an issuer with an explicit time source (tests, simulation).
     pub fn with_clock(master_key: &[u8; 32], clock: Arc<dyn TimeSource>) -> Self {
         let mac_key = hkdf::derive_key32(master_key, "aipow/challenge-mac");
-        let seed_key = hkdf::derive_key32(master_key, "aipow/seed-drbg");
+        let seed_key = hkdf::derive_key32(master_key, "aipow/seed-prf");
         Issuer {
             prepared_mac: HmacKey::new(&mac_key),
             mac_key,
-            drbg: Mutex::new(HmacDrbg::new(&seed_key, b"issuer-seeds")),
+            seed_key: HmacKey::new(&seed_key),
+            next_seed: AtomicU64::new(0),
             ttl_ms: DEFAULT_TTL_MS,
             clock,
             registry: Arc::new(BackendRegistry::standard()),
@@ -172,12 +179,13 @@ impl Issuer {
     /// Issues one challenge per `(client_ip, difficulty, backend)`
     /// request, all timestamped `now_ms`: the one mint path. Different
     /// clients in one drained batch may be routed to different backends.
-    /// The seed DRBG's lock is taken **once** for the whole batch, and a
-    /// bulk draw is cheaper per seed than repeated single draws (see
-    /// [`HmacDrbg::generate_seeds16`]). The per-batch savings are exactly
-    /// the per-issue fixed costs: one lock handoff and one DRBG state
-    /// advance instead of one each per challenge; the per-challenge MAC
-    /// is inherent and stays.
+    ///
+    /// One `fetch_add` reserves the batch's seed counters, so issuance
+    /// takes no lock. The seeds and then the challenge tags are each
+    /// computed in one [`HmacKey::mac_batch`] pass through the wide
+    /// SHA-256 kernel — the same kernel the verifier checks the tags
+    /// with. A seed depends only on its counter, so `n` single issues
+    /// and one batch of `n` mint identical seeds.
     ///
     /// # Panics
     ///
@@ -187,13 +195,34 @@ impl Issuer {
         requests: &[(IpAddr, Difficulty, BackendId)],
         now_ms: u64,
     ) -> Vec<Challenge> {
-        let seeds = self.drbg.lock().generate_seeds16(requests.len());
-        requests
+        let lanes = auto_lanes();
+        let n = requests.len() as u64;
+        // relaxed: uniqueness needs only the atomicity of the
+        // read-modify-write; no other memory is published through it
+        let base = self.next_seed.fetch_add(n, Ordering::Relaxed);
+        let counters: Vec<[u8; 8]> = (0..n).map(|i| base.wrapping_add(i).to_le_bytes()).collect();
+        let counter_msgs: Vec<&[u8]> = counters.iter().map(|c| c.as_slice()).collect();
+        let seeds = self.seed_key.mac_batch(&counter_msgs, lanes);
+
+        let unsigned: Vec<Challenge> = requests
             .iter()
-            .zip(seeds)
-            .map(|(&(client_ip, difficulty, backend), seed)| {
-                self.mint(client_ip, difficulty, backend, now_ms, seed)
+            .zip(&seeds)
+            .map(|(&(client_ip, difficulty, backend), prf)| {
+                let mut seed = [0u8; SEED_LEN];
+                seed.copy_from_slice(&prf.as_bytes()[..SEED_LEN]);
+                self.unsigned(client_ip, difficulty, backend, now_ms, seed)
             })
+            .collect();
+        let auth: Vec<Vec<u8>> = unsigned
+            .iter()
+            .map(Challenge::authenticated_bytes)
+            .collect();
+        let msgs: Vec<&[u8]> = auth.iter().map(Vec::as_slice).collect();
+        let tags = self.prepared_mac.mac_batch(&msgs, lanes);
+        unsigned
+            .into_iter()
+            .zip(tags)
+            .map(|(challenge, tag)| challenge.with_tag(tag.into_bytes()))
             .collect()
     }
 
@@ -207,9 +236,9 @@ impl Issuer {
             .unwrap_or_else(|| backend.default_param())
     }
 
-    /// The mint body: builds and MACs one challenge from an already-drawn
-    /// seed.
-    fn mint(
+    /// Builds one challenge with an all-zero tag from an already-derived
+    /// seed; the batch path tags it.
+    fn unsigned(
         &self,
         client_ip: IpAddr,
         difficulty: Difficulty,
@@ -224,29 +253,16 @@ impl Issuer {
             // issuer's own registry (the default route or a router vetted
             // by config validation) reach the mint path
             .unwrap_or_else(|| panic!("issuer routing: unknown backend {backend}"));
-        let param = self.param_for(registered);
-        let unsigned = Challenge::from_parts_backend(
+        Challenge::from_parts_backend(
             CHALLENGE_VERSION,
             backend,
-            param,
+            self.param_for(registered),
             seed,
             now_ms,
             self.ttl_ms,
             difficulty,
             client_ip,
             [0u8; 32],
-        );
-        let tag = self.prepared_mac.mac(&unsigned.authenticated_bytes());
-        Challenge::from_parts_backend(
-            CHALLENGE_VERSION,
-            backend,
-            param,
-            seed,
-            now_ms,
-            self.ttl_ms,
-            difficulty,
-            client_ip,
-            tag.into_bytes(),
         )
     }
 }
@@ -295,6 +311,75 @@ mod tests {
     }
 
     #[test]
+    fn seeds_are_the_scalar_hmac_of_the_counter() {
+        // Pins the seed PRF apart from the wide kernel: seed `i` of a
+        // fresh issuer is the plain HMAC of `i`, truncated.
+        let master = [16u8; 32];
+        let seed_key = hkdf::derive_key32(&master, "aipow/seed-prf");
+        let issuer = Issuer::new(&master);
+        let mut issued: Vec<[u8; SEED_LEN]> = vec![*issuer.issue(ip(), Difficulty::ZERO).seed()];
+        let requests = vec![(ip(), Difficulty::ZERO, BackendId::SHA256); 11];
+        issued.extend(
+            issuer
+                .issue_batch_backend_at(&requests, 1_000)
+                .iter()
+                .map(|c| *c.seed()),
+        );
+        for (i, seed) in issued.iter().enumerate() {
+            let want = HmacSha256::mac(&seed_key, &(i as u64).to_le_bytes());
+            assert_eq!(seed[..], want.as_bytes()[..SEED_LEN], "seed {i}");
+        }
+    }
+
+    #[test]
+    fn batching_is_invisible_to_seeds_and_tags() {
+        let v6 = IpAddr::V6(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 9));
+        let requests: Vec<(IpAddr, Difficulty, BackendId)> = (0..13u8)
+            .map(|i| {
+                let client = if i % 3 == 0 { v6 } else { ip() };
+                let backend = if i % 2 == 0 {
+                    BackendId::SHA256
+                } else {
+                    BackendId::MEMORY_HARD
+                };
+                (client, Difficulty::new(i % 5).unwrap(), backend)
+            })
+            .collect();
+        let batched = Issuer::new(&[17u8; 32]).issue_batch_backend_at(&requests, 4_000);
+        let single_issuer = Issuer::new(&[17u8; 32]);
+        let singles: Vec<Challenge> = requests
+            .iter()
+            .map(|&(client, d, backend)| single_issuer.issue_backend_at(client, d, backend, 4_000))
+            .collect();
+        assert_eq!(batched, singles);
+    }
+
+    #[test]
+    fn concurrent_batches_never_repeat_a_seed() {
+        let issuer = Issuer::new(&[18u8; 32]);
+        let per_thread: Vec<Vec<[u8; SEED_LEN]>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seeds = Vec::new();
+                        for n in 1..=33 {
+                            let requests = vec![(ip(), Difficulty::ZERO, BackendId::SHA256); n];
+                            let batch = issuer.issue_batch_backend_at(&requests, 1_000);
+                            seeds.extend(batch.iter().map(|c| *c.seed()));
+                        }
+                        seeds
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let issued: usize = per_thread.iter().map(Vec::len).sum();
+        assert_eq!(issued, 4 * (1..=33).sum::<usize>());
+        let distinct: HashSet<[u8; SEED_LEN]> = per_thread.into_iter().flatten().collect();
+        assert_eq!(distinct.len(), issued, "a seed repeated across threads");
+    }
+
+    #[test]
     fn tag_is_valid_hmac_over_authenticated_bytes() {
         let issuer = Issuer::new(&[3u8; 32]);
         let c = issuer.issue(ip(), Difficulty::new(1).unwrap());
@@ -328,9 +413,10 @@ mod tests {
             &ca.authenticated_bytes(),
             ca.tag()
         ));
-        // ...and their DRBGs start identically (same derivation), which is
-        // fine: seeds only need uniqueness per issuer instance. Deployments
-        // wanting cross-instance uniqueness feed distinct master keys.
+        // ...and their seed counters start identically (same key, both at
+        // zero), which is fine: seeds only need uniqueness per issuer
+        // instance. Deployments wanting cross-instance uniqueness feed
+        // distinct master keys.
         let cb = b.issue(ip(), Difficulty::ZERO);
         assert_eq!(ca.seed(), cb.seed());
     }

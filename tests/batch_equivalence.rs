@@ -7,17 +7,18 @@
 //! consecutive same-kind runs of the schedule produces **exactly** the
 //! sequential path's
 //!
-//! - admission decisions (bypass flag, score, difficulty), in order;
+//! - admission decisions (bypass flag, score, difficulty, challenge
+//!   seed), in order;
 //! - verification outcomes (tokens and error variants), in order;
 //! - per-client cost-ledger balances (and the population count);
 //! - audit records, in order, timestamps included;
 //! - pipeline counters (issued / bypassed / accepted / per-reason
 //!   rejections).
 //!
-//! Challenge seeds and solver nonces are *not* compared: seeds are
-//! random per framework instance by design, and every derived quantity
-//! that matters (difficulty, charge, audit text) is seed-independent.
-//! Both frameworks run on lockstep manual clocks, which realizes the
+//! Seeds are compared because both frameworks are built from one master
+//! key, and a seed is a keyed function of the issuer's counter alone:
+//! batching cannot change which seed a client receives. Both frameworks
+//! run on lockstep manual clocks, which realizes the
 //! documented batching invariant that a batch shares one clock reading —
 //! on a fixed clock the paths must be bit-equivalent.
 
@@ -135,13 +136,14 @@ struct ClientState {
     accepted: Vec<Solution>,
 }
 
-/// What one op resolved to, in comparable (seed-free) form.
+/// What one op resolved to, in comparable form.
 #[derive(Debug, Clone, PartialEq)]
 enum Observed {
     Decision {
         bypass: bool,
         score: f64,
         difficulty: Option<u8>,
+        seed: Option<[u8; 16]>,
     },
     Outcome(Result<(IpAddr, u8, u64), VerifyError>),
     Skipped,
@@ -153,11 +155,13 @@ fn observe_decision(decision: &AdmissionDecision) -> Observed {
             bypass: true,
             score: score.value(),
             difficulty: None,
+            seed: None,
         },
         AdmissionDecision::Challenge(issued) => Observed::Decision {
             bypass: false,
             score: issued.score.value(),
             difficulty: Some(issued.difficulty.bits()),
+            seed: Some(*issued.challenge.seed()),
         },
     }
 }
@@ -350,7 +354,7 @@ fn run_batched_with(
     (observed, fw)
 }
 
-/// Seed-free audit view.
+/// Audit view.
 fn audit_view(fw: &Framework) -> Vec<String> {
     fw.audit()
         .snapshot()
@@ -517,9 +521,8 @@ proptest! {
 use aipow::net::reactor::{dispatch_frames, FrameAssembler};
 use aipow::wire::Message;
 
-/// One frame of a pipelined burst (no solutions: their replies embed
-/// per-instance challenge seeds, covered seed-free by the schedule
-/// properties above; the wire property targets the framing layer).
+/// One frame of a pipelined burst (no solutions: the schedule properties
+/// above cover them; the wire property targets the framing layer).
 #[derive(Debug, Clone)]
 enum WireOp {
     Ping(u64),
@@ -551,14 +554,17 @@ fn wire_op_message(op: &WireOp) -> Message {
     }
 }
 
-/// Seed-free view of a reply (challenge bytes are random per framework
-/// instance; everything decision-shaped is not).
+/// Comparable view of a reply.
 fn observe_reply(reply: &Message) -> String {
     match reply {
         Message::Pong { token } => format!("pong {token}"),
         Message::Hello { version } => format!("hello {version}"),
         Message::ChallengeIssued { challenge, path } => {
-            format!("challenge {path} bits={}", challenge.difficulty().bits())
+            format!(
+                "challenge {path} bits={} seed={}",
+                challenge.difficulty().bits(),
+                challenge.id()
+            )
         }
         Message::ResourceGranted { path, body } => {
             format!("granted {path} len={}", body.len())
