@@ -345,7 +345,7 @@ mod tests {
         let m = FrameworkMetrics::new();
         m.record_issued_difficulties([8u8, 8, 9]);
         m.solutions_accepted.inc();
-        m.record_rejection("bad_mac");
+        m.record_rejection(&aipow_pow::VerifyError::BadMac);
         m.record_stage(0, 4, 4_000);
         m.accept_errors.inc();
         m.accept_backoff_ms.set(128);

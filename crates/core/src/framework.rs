@@ -146,12 +146,6 @@ impl FrameworkBuilder {
         self
     }
 
-    /// Sets the reputation model from a shared handle.
-    pub fn model_arc(mut self, model: Arc<dyn ReputationModel>) -> Self {
-        self.model = Some(model);
-        self
-    }
-
     /// Sets the policy (required).
     pub fn policy<P: Policy + 'static>(mut self, policy: P) -> Self {
         self.policy = Some(Box::new(policy));
@@ -722,7 +716,7 @@ impl fmt::Debug for Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AuditKind;
+    use crate::{AuditEvent, AuditKind};
     use aipow_policy::{ErrorRangePolicy, LinearPolicy};
     use aipow_pow::solver::{self, SolverOptions};
     use aipow_reputation::model::FixedScoreModel;
@@ -1096,28 +1090,16 @@ mod tests {
             rejected: AtomicU64,
         }
         impl BehaviorSink for Recording {
-            fn on_request(
-                &self,
-                _ip: IpAddr,
-                _now_ms: u64,
-                _score: ReputationScore,
-                difficulty: Option<Difficulty>,
-            ) {
-                match difficulty {
-                    Some(_) => self.challenged.fetch_add(1, Ordering::Relaxed),
-                    None => self.bypassed.fetch_add(1, Ordering::Relaxed),
-                };
-            }
-            fn on_solution(
-                &self,
-                _ip: IpAddr,
-                _now_ms: u64,
-                outcome: Result<Difficulty, &VerifyError>,
-            ) {
-                match outcome {
-                    Ok(_) => self.accepted.fetch_add(1, Ordering::Relaxed),
-                    Err(_) => self.rejected.fetch_add(1, Ordering::Relaxed),
-                };
+            fn on_events(&self, events: &[AuditEvent]) {
+                for event in events {
+                    let counter = match event.kind {
+                        AuditKind::ChallengeIssued { .. } => &self.challenged,
+                        AuditKind::Bypassed { .. } => &self.bypassed,
+                        AuditKind::SolutionAccepted { .. } => &self.accepted,
+                        AuditKind::SolutionRejected { .. } => &self.rejected,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
 
@@ -1156,21 +1138,8 @@ mod tests {
         #[derive(Default)]
         struct CountReq(AtomicU64);
         impl BehaviorSink for CountReq {
-            fn on_request(
-                &self,
-                _ip: IpAddr,
-                _now_ms: u64,
-                _score: ReputationScore,
-                _difficulty: Option<Difficulty>,
-            ) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            fn on_solution(
-                &self,
-                _ip: IpAddr,
-                _now_ms: u64,
-                _outcome: Result<Difficulty, &VerifyError>,
-            ) {
+            fn on_events(&self, events: &[AuditEvent]) {
+                self.0.fetch_add(events.len() as u64, Ordering::Relaxed);
             }
         }
 
@@ -1316,8 +1285,43 @@ mod tests {
     }
 
     #[test]
+    fn unknown_backend_rejections_have_their_own_label() {
+        let fw = framework_with_score(0.0);
+        let issued = fw
+            .handle_request(ip(1), &FeatureVector::zeros())
+            .challenge()
+            .unwrap()
+            .challenge;
+        let unknown = aipow_pow::BackendId(77);
+        let challenge = aipow_pow::Challenge::from_parts_backend(
+            issued.version(),
+            unknown,
+            issued.backend_param(),
+            *issued.seed(),
+            issued.issued_at_ms(),
+            issued.ttl_ms(),
+            issued.difficulty(),
+            issued.client_ip(),
+            *issued.tag(),
+        );
+        let solution = Solution {
+            challenge,
+            nonce: 0,
+            width: aipow_pow::NonceWidth::U64,
+            backend: unknown,
+        };
+        assert_eq!(
+            fw.handle_solution(&solution, ip(1)),
+            Err(VerifyError::UnknownBackend { got: unknown })
+        );
+        let snap = fw.metrics_snapshot();
+        assert_eq!(snap.solutions_rejected, 1);
+        assert_eq!(snap.rejected_by_reason.get("unknown_backend"), Some(&1));
+        assert_eq!(snap.rejected_by_reason.len(), 1);
+    }
+
+    #[test]
     fn batch_sink_delivery_matches_sequential_events() {
-        use crate::tap::{RequestObservation, SolutionObservation};
         use parking_lot::Mutex;
 
         #[derive(Default)]
@@ -1326,37 +1330,22 @@ mod tests {
             batched_calls: AtomicU64,
         }
         impl BehaviorSink for Log {
-            fn on_request(
-                &self,
-                ip: IpAddr,
-                _now_ms: u64,
-                _score: ReputationScore,
-                difficulty: Option<Difficulty>,
-            ) {
-                self.events
-                    .lock()
-                    .push(format!("req {ip} {:?}", difficulty.map(|d| d.bits())));
-            }
-            fn on_solution(
-                &self,
-                ip: IpAddr,
-                _now_ms: u64,
-                outcome: Result<Difficulty, &VerifyError>,
-            ) {
-                self.events
-                    .lock()
-                    .push(format!("sol {ip} {}", outcome.is_ok()));
-            }
-            fn on_request_batch(&self, now_ms: u64, batch: &[RequestObservation]) {
+            fn on_events(&self, events: &[AuditEvent]) {
                 self.batched_calls.fetch_add(1, Ordering::Relaxed);
-                for obs in batch {
-                    self.on_request(obs.ip, now_ms, obs.score, obs.difficulty);
-                }
-            }
-            fn on_solution_batch(&self, now_ms: u64, batch: &[SolutionObservation<'_>]) {
-                self.batched_calls.fetch_add(1, Ordering::Relaxed);
-                for obs in batch {
-                    self.on_solution(obs.ip, now_ms, obs.outcome);
+                let mut log = self.events.lock();
+                for event in events {
+                    log.push(match &event.kind {
+                        AuditKind::ChallengeIssued { difficulty, .. } => {
+                            format!("req {} Some({})", event.client_ip, difficulty.bits())
+                        }
+                        AuditKind::Bypassed { .. } => format!("req {} None", event.client_ip),
+                        AuditKind::SolutionAccepted { .. } => {
+                            format!("sol {} true", event.client_ip)
+                        }
+                        AuditKind::SolutionRejected { .. } => {
+                            format!("sol {} false", event.client_ip)
+                        }
+                    });
                 }
             }
         }

@@ -100,5 +100,5 @@ pub use framework::{
 pub use metrics::{FrameworkMetrics, MetricsSnapshot, StageTiming};
 pub use pipeline::{AdmissionStage, RequestCtx, SolutionCtx};
 pub use sharded::{Sharded, ShardedMap};
-pub use tap::{BehaviorSink, RequestObservation, SolutionObservation};
+pub use tap::BehaviorSink;
 pub use token_bucket::{LeastRecentlyRefilled, RateLimiter, TokenBucket};

@@ -2,29 +2,15 @@
 
 use crate::sync::{AtomicU64, Ordering};
 use aipow_metrics::{AtomicHistogram, Counter, Gauge};
+use aipow_pow::VerifyError;
 use std::collections::HashMap;
 
-/// The verifier's stable rejection labels (see
-/// `framework::reason_label`), plus a catch-all. Indexing a fixed array
-/// keeps the rejection path — which an attacker drives at flood rate —
-/// lock-free.
-const REJECT_REASONS: [&str; 10] = [
-    "unsupported_version",
-    "difficulty_too_high",
-    "bad_mac",
-    "client_mismatch",
-    "not_yet_valid",
-    "expired",
-    "replayed",
-    "insufficient_work",
-    "malformed_nonce",
-    "other",
-];
-
-/// Lock-free per-reason rejection tallies.
+/// Lock-free per-reason rejection tallies, one per [`VerifyError`]
+/// variant ([`VerifyError::index`]). Indexing a fixed array keeps the
+/// rejection path — which an attacker drives at flood rate — lock-free.
 #[derive(Debug)]
 struct RejectionCounts {
-    counts: [AtomicU64; REJECT_REASONS.len()],
+    counts: [AtomicU64; VerifyError::LABELS.len()],
 }
 
 impl Default for RejectionCounts {
@@ -36,29 +22,21 @@ impl Default for RejectionCounts {
 }
 
 impl RejectionCounts {
-    fn record(&self, reason: &'static str) {
-        let idx = REJECT_REASONS
-            .iter()
-            .position(|r| *r == reason)
-            .unwrap_or(REJECT_REASONS.len() - 1);
+    fn record(&self, err: &VerifyError) {
         // relaxed: monotonic stats counter; snapshot tolerates cross-
         // counter skew
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.counts[err.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current tally for one reason label (0 for unknown labels).
-    fn count_for(&self, reason: &str) -> u64 {
-        REJECT_REASONS
-            .iter()
-            .position(|r| *r == reason)
-            // relaxed: monitoring read of one independent counter
-            .map(|idx| self.counts[idx].load(Ordering::Relaxed))
-            .unwrap_or(0)
+    /// Current tally for one variant.
+    fn count_for(&self, err: &VerifyError) -> u64 {
+        // relaxed: monitoring read of one independent counter
+        self.counts[err.index()].load(Ordering::Relaxed)
     }
 
     /// Labels with nonzero counts.
     fn snapshot(&self) -> HashMap<String, u64> {
-        REJECT_REASONS
+        VerifyError::LABELS
             .iter()
             .zip(self.counts.iter())
             .filter_map(|(label, count)| {
@@ -328,11 +306,10 @@ impl FrameworkMetrics {
         Self::default()
     }
 
-    /// Records a rejection under a stable reason label (lock-free;
-    /// unknown labels tally under `"other"`).
-    pub fn record_rejection(&self, reason: &'static str) {
+    /// Records a rejection under the error's stable label (lock-free).
+    pub fn record_rejection(&self, err: &VerifyError) {
         self.solutions_rejected.inc();
-        self.rejected_by_reason.record(reason);
+        self.rejected_by_reason.record(err);
     }
 
     /// Records a batch of issued difficulties (lock-free): one add to the
@@ -364,7 +341,7 @@ impl FrameworkMetrics {
     /// reading, which is all a monitoring rate needs.
     pub fn snapshot_at(&self, now_ms: u64) -> MetricsSnapshot {
         let mut snap = self.snapshot();
-        let replayed = self.rejected_by_reason.count_for("replayed");
+        let replayed = self.rejected_by_reason.count_for(&VerifyError::Replayed);
         let rate_limited = self.rate_limited.get();
         let rejected = self.solutions_rejected.get();
         let accepted = self.accepted_total.get();
@@ -458,7 +435,7 @@ pub struct MetricsSnapshot {
     pub solutions_rejected: u64,
     /// Bypass admissions.
     pub bypassed: u64,
-    /// Rejections by reason label.
+    /// Rejections by reason label ([`aipow_pow::VerifyError::label`]).
     pub rejected_by_reason: HashMap<String, u64>,
     /// Median issued difficulty in bits.
     pub median_issued_difficulty: u64,
@@ -524,15 +501,20 @@ pub struct MetricsSnapshot {
 mod tests {
     use super::*;
 
+    const EXPIRED: VerifyError = VerifyError::Expired {
+        expired_at_ms: 0,
+        now_ms: 1,
+    };
+
     #[test]
     fn counters_and_snapshot() {
         let m = FrameworkMetrics::new();
         m.record_issued_difficulties([5]);
         m.record_issued_difficulties([9]);
         m.solutions_accepted.inc();
-        m.record_rejection("replayed");
-        m.record_rejection("replayed");
-        m.record_rejection("expired");
+        m.record_rejection(&VerifyError::Replayed);
+        m.record_rejection(&VerifyError::Replayed);
+        m.record_rejection(&EXPIRED);
 
         let snap = m.snapshot();
         assert_eq!(snap.challenges_issued, 2);
@@ -565,15 +547,6 @@ mod tests {
         assert_eq!(snap.behavior_tracked, 12);
         assert_eq!(snap.behavior_sweeps, 1);
         assert_eq!(snap.behavior_pruned, 3);
-    }
-
-    #[test]
-    fn unknown_rejection_reasons_tally_under_other() {
-        let m = FrameworkMetrics::new();
-        m.record_rejection("some_future_reason");
-        let snap = m.snapshot();
-        assert_eq!(snap.rejected_by_reason["other"], 1);
-        assert_eq!(snap.solutions_rejected, 1);
     }
 
     #[test]
@@ -656,12 +629,12 @@ mod tests {
         assert_eq!(first.replay_rejects_per_s, 0.0);
 
         for _ in 0..20 {
-            m.record_rejection("replayed");
+            m.record_rejection(&VerifyError::Replayed);
         }
         for _ in 0..10 {
             m.rate_limited.inc();
         }
-        m.record_rejection("expired");
+        m.record_rejection(&EXPIRED);
 
         // 2 seconds later: 20 replays → 10/s, 10 rate-limits → 5/s,
         // 21 verifier rejections + 10 refusals → 15.5/s total.
@@ -683,7 +656,7 @@ mod tests {
     fn snapshot_at_with_stalled_clock_is_safe() {
         let m = FrameworkMetrics::new();
         m.snapshot_at(5_000);
-        m.record_rejection("replayed");
+        m.record_rejection(&VerifyError::Replayed);
         let snap = m.snapshot_at(5_000); // dt = 0: no division
         assert_eq!(snap.replay_rejects_per_s, 0.0);
     }

@@ -18,7 +18,7 @@
 //!   group: one clock reading, one policy read-lock, one seed-counter
 //!   reservation and one wide MAC pass for all seeds and tags, one
 //!   audit-shard lock acquisition per shard, one grouped ledger charge,
-//!   one batched sink notification.
+//!   one sink call with the batch's audit events.
 //!
 //! The chains are:
 //!
@@ -59,8 +59,7 @@
 
 use crate::framework::{AdmissionDecision, Framework, IssuedChallenge};
 use crate::sync::Ordering;
-use crate::tap::{RequestObservation, SolutionObservation};
-use crate::AuditKind;
+use crate::{AuditEvent, AuditKind};
 use aipow_policy::PolicyContext;
 use aipow_pow::{Difficulty, Solution, VerifiedToken, VerifyError};
 use aipow_reputation::{FeatureVector, ReputationScore};
@@ -192,7 +191,7 @@ impl Traceable for SolutionCtx<'_> {
         match &self.outcome {
             None => "pending",
             Some(Ok(_)) => "accept",
-            Some(Err(err)) => reason_label(err),
+            Some(Err(err)) => err.label(),
         }
     }
 }
@@ -432,12 +431,10 @@ impl AdmissionStage<RequestCtx<'_>> for IssueStage {
     }
 }
 
-/// The one observation point of the request chain, replacing the old
-/// per-request audit+metrics+sink fan-out. A batch aggregates the
-/// metrics adds, appends all audit events with one shard-lock
-/// acquisition per shard, and delivers one
-/// [`BehaviorSink::on_request_batch`][crate::BehaviorSink::on_request_batch]
-/// call.
+/// The one observation point of the request chain: it records each
+/// decision once, as an [`AuditEvent`], derives the metrics adds from the
+/// batch's events, and hands them to the sink and the audit log
+/// ([`publish`]).
 struct RequestTelemetryStage;
 
 impl AdmissionStage<RequestCtx<'_>> for RequestTelemetryStage {
@@ -450,55 +447,37 @@ impl AdmissionStage<RequestCtx<'_>> for RequestTelemetryStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [RequestCtx<'_>]) -> usize {
-        let mut bypassed = 0u64;
-        let mut audit_events = Vec::with_capacity(batch.len());
-        let mut observations = Vec::with_capacity(batch.len());
-        let mut issued_bits: Vec<u8> = Vec::with_capacity(batch.len());
-        for ctx in batch.iter() {
-            match ctx
-                .decision
-                .as_ref()
-                .expect("pipeline invariant: the request chain settles every ctx")
-            {
-                AdmissionDecision::Admit { score } => {
-                    bypassed += 1;
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.client_ip,
-                        kind: AuditKind::Bypassed { score: *score },
-                    });
-                    observations.push(RequestObservation {
-                        ip: ctx.client_ip,
-                        score: *score,
-                        difficulty: None,
-                    });
-                }
-                AdmissionDecision::Challenge(issued) => {
-                    issued_bits.push(issued.difficulty.bits());
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.client_ip,
-                        kind: AuditKind::ChallengeIssued {
-                            score: issued.score,
-                            difficulty: issued.difficulty,
-                        },
-                    });
-                    observations.push(RequestObservation {
-                        ip: ctx.client_ip,
+        let events: Vec<AuditEvent> = batch
+            .iter()
+            .map(|ctx| AuditEvent {
+                at_ms: now_ms,
+                client_ip: ctx.client_ip,
+                kind: match ctx
+                    .decision
+                    .as_ref()
+                    .expect("pipeline invariant: the request chain settles every ctx")
+                {
+                    AdmissionDecision::Admit { score } => AuditKind::Bypassed { score: *score },
+                    AdmissionDecision::Challenge(issued) => AuditKind::ChallengeIssued {
                         score: issued.score,
-                        difficulty: Some(issued.difficulty),
-                    });
+                        difficulty: issued.difficulty,
+                    },
+                },
+            })
+            .collect();
+        let mut bypassed = 0u64;
+        fw.metrics()
+            .record_issued_difficulties(events.iter().filter_map(|event| match event.kind {
+                AuditKind::ChallengeIssued { difficulty, .. } => Some(difficulty.bits()),
+                _ => {
+                    bypassed += 1;
+                    None
                 }
-            }
-        }
+            }));
         if bypassed > 0 {
             fw.metrics().bypassed.add(bypassed);
         }
-        fw.metrics().record_issued_difficulties(issued_bits);
-        fw.audit().record_batch(audit_events);
-        if let Some(sink) = fw.behavior_sink() {
-            sink.on_request_batch(now_ms, &observations);
-        }
+        publish(fw, events);
         batch.len()
     }
 }
@@ -571,8 +550,9 @@ impl AdmissionStage<SolutionCtx<'_>> for ChargeStage {
     }
 }
 
-/// The one observation point of the solution chain: metrics, audit, and
-/// sink delivery for every outcome, batched like the request telemetry.
+/// The one observation point of the solution chain: audit events,
+/// metrics and sink delivery for every outcome, batched like the request
+/// telemetry.
 struct SolutionTelemetryStage;
 
 impl AdmissionStage<SolutionCtx<'_>> for SolutionTelemetryStage {
@@ -585,70 +565,46 @@ impl AdmissionStage<SolutionCtx<'_>> for SolutionTelemetryStage {
     }
 
     fn run(&self, fw: &Framework, now_ms: u64, batch: &mut [SolutionCtx<'_>]) -> usize {
+        let metrics = fw.metrics();
         let mut accepted = 0u64;
-        let mut audit_events = Vec::with_capacity(batch.len());
-        let mut observations = Vec::with_capacity(batch.len());
-        for ctx in batch.iter() {
-            match ctx
-                .outcome
-                .as_ref()
-                .expect("pipeline invariant: the verify stage settles every solution")
-            {
-                Ok(token) => {
-                    accepted += 1;
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.claimed_ip,
-                        kind: AuditKind::SolutionAccepted {
+        let events: Vec<AuditEvent> = batch
+            .iter()
+            .map(|ctx| AuditEvent {
+                at_ms: now_ms,
+                client_ip: ctx.claimed_ip,
+                kind: match ctx
+                    .outcome
+                    .as_ref()
+                    .expect("pipeline invariant: the verify stage settles every solution")
+                {
+                    Ok(token) => {
+                        accepted += 1;
+                        AuditKind::SolutionAccepted {
                             difficulty: token.difficulty,
-                        },
-                    });
-                    observations.push(SolutionObservation {
-                        ip: ctx.claimed_ip,
-                        outcome: Ok(token.difficulty),
-                    });
-                }
-                Err(err) => {
-                    fw.metrics().record_rejection(reason_label(err));
-                    audit_events.push(crate::AuditEvent {
-                        at_ms: now_ms,
-                        client_ip: ctx.claimed_ip,
-                        kind: AuditKind::SolutionRejected { error: *err },
-                    });
-                    observations.push(SolutionObservation {
-                        ip: ctx.claimed_ip,
-                        outcome: Err(err),
-                    });
-                }
-            }
-        }
+                        }
+                    }
+                    Err(err) => {
+                        metrics.record_rejection(err);
+                        AuditKind::SolutionRejected { error: *err }
+                    }
+                },
+            })
+            .collect();
         if accepted > 0 {
-            fw.metrics().solutions_accepted.add(accepted);
+            metrics.solutions_accepted.add(accepted);
         }
-        fw.audit().record_batch(audit_events);
-        if let Some(sink) = fw.behavior_sink() {
-            sink.on_solution_batch(now_ms, &observations);
-        }
+        publish(fw, events);
         batch.len()
     }
 }
 
-/// Stable labels for rejection metrics.
-pub(crate) fn reason_label(err: &VerifyError) -> &'static str {
-    match err {
-        VerifyError::UnsupportedVersion { .. } => "unsupported_version",
-        VerifyError::DifficultyTooHigh { .. } => "difficulty_too_high",
-        VerifyError::BadMac => "bad_mac",
-        VerifyError::ClientMismatch => "client_mismatch",
-        VerifyError::NotYetValid => "not_yet_valid",
-        VerifyError::Expired { .. } => "expired",
-        VerifyError::Replayed => "replayed",
-        VerifyError::InsufficientWork { .. } => "insufficient_work",
-        VerifyError::MalformedNonce => "malformed_nonce",
-        VerifyError::UnknownBackend { .. } => "unknown_backend",
-        VerifyError::BackendMismatch { .. } => "backend_mismatch",
-        VerifyError::InvalidBackendParam { .. } => "invalid_backend_param",
+/// Delivers a telemetry stage's events to the attached sink, if any, then
+/// moves them into the audit log.
+fn publish(fw: &Framework, events: Vec<AuditEvent>) {
+    if let Some(sink) = fw.behavior_sink() {
+        sink.on_events(&events);
     }
+    fw.audit().record_batch(events);
 }
 
 #[cfg(test)]

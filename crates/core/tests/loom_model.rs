@@ -13,7 +13,7 @@ use aipow_core::metrics::FrameworkMetrics;
 use aipow_core::tap::BehaviorSink;
 use aipow_core::{AuditEvent, AuditKind, AuditLog, Framework, FrameworkBuilder};
 use aipow_policy::LinearPolicy;
-use aipow_pow::{Difficulty, VerifyError};
+use aipow_pow::VerifyError;
 use aipow_reputation::model::FixedScoreModel;
 use aipow_reputation::{FeatureVector, ReputationScore};
 use std::net::IpAddr;
@@ -75,10 +75,13 @@ fn rejection_counters_lose_no_updates() {
         let metrics = Arc::new(FrameworkMetrics::new());
         let other = Arc::clone(&metrics);
         let racer = loom::thread::spawn(move || {
-            other.record_rejection("replayed");
-            other.record_rejection("expired");
+            other.record_rejection(&VerifyError::Replayed);
+            other.record_rejection(&VerifyError::Expired {
+                expired_at_ms: 0,
+                now_ms: 1,
+            });
         });
-        metrics.record_rejection("replayed");
+        metrics.record_rejection(&VerifyError::Replayed);
         racer.join().expect("model thread join: invariant");
         let snap = metrics.snapshot();
         assert_eq!(snap.rejected_by_reason["replayed"], 2);
@@ -113,17 +116,10 @@ struct CountingSink {
 }
 
 impl BehaviorSink for CountingSink {
-    fn on_request(
-        &self,
-        _ip: IpAddr,
-        _now_ms: u64,
-        _score: ReputationScore,
-        _difficulty: Option<Difficulty>,
-    ) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+    fn on_events(&self, events: &[AuditEvent]) {
+        self.requests
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
     }
-
-    fn on_solution(&self, _ip: IpAddr, _now_ms: u64, _outcome: Result<Difficulty, &VerifyError>) {}
 }
 
 fn test_framework() -> Framework {

@@ -1,7 +1,7 @@
 //! Minimal hex encoding/decoding.
 //!
-//! Used for digest display, challenge serialization in human-readable
-//! transcripts, and test vectors.
+//! Used for digest and challenge display, `--key` parsing, and test
+//! vectors.
 
 use core::fmt;
 

@@ -27,7 +27,9 @@
 //! shape with the paper's AI component (the `aipow observe` CLI does).
 
 use aipow_core::tap::BehaviorSink;
-use aipow_core::{Framework, FrameworkBuilder, OnlineSettings, StaticFeatureSource};
+use aipow_core::{
+    AuditEvent, AuditKind, Framework, FrameworkBuilder, OnlineSettings, StaticFeatureSource,
+};
 use aipow_online::OnlineLoop;
 use aipow_policy::LinearPolicy;
 use aipow_pow::{ManualClock, TimeSource};
@@ -190,11 +192,13 @@ impl OnlineDeployment {
         let decision = self.framework.handle_request(ip, &features);
         let bits = decision.challenge().map(|issued| {
             if solves {
-                self.online.recorder().on_solution(
-                    ip,
-                    now + self.solve_latency_ms,
-                    Ok(issued.difficulty),
-                );
+                self.online.recorder().on_events(&[AuditEvent {
+                    at_ms: now + self.solve_latency_ms,
+                    client_ip: ip,
+                    kind: AuditKind::SolutionAccepted {
+                        difficulty: issued.difficulty,
+                    },
+                }]);
             }
             issued.difficulty.bits()
         });

@@ -21,6 +21,7 @@
 //! a live framework, machine-dependent by design; the decision
 //! equivalence half is exact on any machine.
 
+use crate::flood::percentile;
 use aipow_core::{AdmissionDecision, Framework, FrameworkBuilder};
 use aipow_policy::LinearPolicy;
 use aipow_reputation::{FeatureVector, ReputationModel, ReputationScore};
@@ -123,14 +124,6 @@ fn client_ip(client: usize) -> IpAddr {
 fn client_features(client: usize, clients: usize) -> FeatureVector {
     let score = 8.0 * client as f64 / clients.max(1) as f64;
     FeatureVector::zeros().with(0, score)
-}
-
-fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64
 }
 
 /// Runs the same burst schedule through the sequential and batch paths

@@ -28,6 +28,7 @@
 //! assert_eq!(outcome.flood_admitted, outcome.per_ip_cap as u64);
 //! ```
 
+use crate::flood::percentile;
 use aipow_core::{Framework, FrameworkBuilder, StaticFeatureSource};
 use aipow_net::reactor::{
     dispatch_frames, AcceptGate, AdmitDecision, ConnCore, ConnTable, DeadlineWheel,
@@ -120,14 +121,6 @@ impl ConnfloodOutcome {
     pub fn benign_p99_ratio(&self) -> f64 {
         self.under_flood.p99_ns / self.baseline.p99_ns.max(1.0)
     }
-}
-
-fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[rank.min(sorted_ns.len() - 1)] as f64
 }
 
 fn phase(mut samples_ns: Vec<u64>) -> ExchangeLatency {

@@ -171,11 +171,6 @@ pub fn contended_path_with(shard_count: Option<usize>, online: bool) -> Admissio
     }
 }
 
-/// [`contended_path_with`] without the online loop (the PR 2 baseline).
-pub fn contended_path(shard_count: Option<usize>) -> AdmissionPath {
-    contended_path_with(shard_count, false)
-}
-
 /// The per-thread admission loop: `ops` requests from this thread's
 /// private slice of the IP space. Public so the `contended_admission`
 /// criterion bench drives the exact same workload this scenario reports.

@@ -125,7 +125,10 @@ impl FloodPair {
     }
 }
 
-fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
+/// Nearest-rank percentile of an ascending sample (0 when empty): the
+/// sample at rank `round((n - 1) * q)`, never interpolated. Shared by the
+/// flood, burst and connection-flood scenarios.
+pub(crate) fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
     }

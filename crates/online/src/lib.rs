@@ -19,8 +19,11 @@
 //! ```
 //!
 //! - [`BehaviorRecorder`] — a sharded per-client recorder fed lock-lightly
-//!   from the framework's [`aipow_core::tap::BehaviorSink`] tap; EWMA-style
-//!   decayed counters plus [`aipow_metrics::OnlineStats`] sketches.
+//!   from the framework's [`aipow_core::tap::BehaviorSink`] tap: each
+//!   batch of [`aipow_core::AuditEvent`]s the pipeline records (issued,
+//!   bypassed, accepted, rejected) updates EWMA-style decayed counters
+//!   plus [`aipow_metrics::OnlineStats`] sketches, taking each shard lock
+//!   once per batch.
 //! - [`BehavioralFeatureSource`] — maps live sketches onto the model's
 //!   [`aipow_reputation::FeatureVector`], blending with a configurable
 //!   prior so cold clients score like the static default.

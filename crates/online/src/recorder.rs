@@ -1,9 +1,10 @@
 //! The sharded per-client behavior recorder.
 //!
-//! Every admission event the framework emits (via
-//! [`aipow_core::tap::BehaviorSink`]) lands in one per-client
-//! [`ClientSketch`]: exponentially-decayed counters plus
-//! [`OnlineStats`] sketches of inter-arrival gaps and solve latency.
+//! Every admission event the framework emits (an
+//! [`aipow_core::AuditEvent`], via [`aipow_core::tap::BehaviorSink`])
+//! lands in one per-client [`ClientSketch`]: exponentially-decayed
+//! counters plus [`OnlineStats`] sketches of inter-arrival gaps and solve
+//! latency.
 //! Decay is *lazy* — each sketch stores the instant it was last decayed
 //! and catches up on touch or read — so an idle client's reputation
 //! recovers purely as a function of elapsed time, with no background
@@ -22,11 +23,10 @@
 //! case — costs one bounded shard scan per request, never an all-shard
 //! sweep.
 
-use aipow_core::tap::{BehaviorSink, RequestObservation, SolutionObservation};
-use aipow_core::OnlineSettings;
+use aipow_core::tap::BehaviorSink;
+use aipow_core::{AuditEvent, AuditKind, OnlineSettings};
 use aipow_metrics::{Counter, OnlineStats};
-use aipow_pow::{Difficulty, VerifyError};
-use aipow_reputation::ReputationScore;
+use aipow_pow::VerifyError;
 use aipow_shard::{ShardLayout, ShardedMap};
 use std::net::IpAddr;
 
@@ -186,14 +186,15 @@ impl ClientSketch {
 ///
 /// ```
 /// use aipow_core::tap::BehaviorSink;
-/// use aipow_core::OnlineSettings;
+/// use aipow_core::{AuditEvent, AuditKind, OnlineSettings};
 /// use aipow_online::BehaviorRecorder;
 /// use aipow_reputation::ReputationScore;
 /// # use std::net::{IpAddr, Ipv4Addr};
 ///
 /// let recorder = BehaviorRecorder::new(&OnlineSettings::default());
 /// let ip = IpAddr::V4(Ipv4Addr::new(203, 0, 113, 9));
-/// recorder.on_request(ip, 1_000, ReputationScore::MIN, None);
+/// let kind = AuditKind::Bypassed { score: ReputationScore::MIN };
+/// recorder.on_events(&[AuditEvent { at_ms: 1_000, client_ip: ip, kind }]);
 /// assert_eq!(recorder.len(), 1);
 /// assert!(recorder.sketch(ip, 1_000).unwrap().requests > 0.9);
 /// ```
@@ -332,60 +333,39 @@ fn note_request_arrival(sketch: &mut ClientSketch, now_ms: u64) {
     sketch.last_request_ms = Some(now_ms);
 }
 
-/// Applies one scored-request observation to a sketch (the body shared
-/// by the single-event tap and the batched override).
-fn apply_request(sketch: &mut ClientSketch, now_ms: u64, difficulty: Option<Difficulty>) {
-    note_request_arrival(sketch, now_ms);
-    match difficulty {
-        Some(_) => {
+/// Applies one admission event to its client's sketch: every sketch rule,
+/// written once.
+fn apply_event(sketch: &mut ClientSketch, event: &AuditEvent, half_life_ms: u64) {
+    let now_ms = event.at_ms;
+    bump(sketch, now_ms, half_life_ms);
+    match &event.kind {
+        AuditKind::ChallengeIssued { .. } => {
+            note_request_arrival(sketch, now_ms);
             sketch.challenged += 1.0;
             sketch.last_challenge_ms = Some(now_ms);
         }
-        None => sketch.bypassed += 1.0,
+        AuditKind::Bypassed { .. } => {
+            note_request_arrival(sketch, now_ms);
+            sketch.bypassed += 1.0;
+        }
+        AuditKind::SolutionAccepted { .. } => {
+            sketch.accepted += 1.0;
+            if let Some(issued) = sketch.last_challenge_ms.take() {
+                sketch.solve_ms.push(now_ms.saturating_sub(issued) as f64);
+            }
+        }
+        // Expiry and clock skew are not abuse: an honest-but-slow client
+        // must read as abandonment, or slow clients spiral toward max
+        // difficulty.
+        AuditKind::SolutionRejected { error } => match error {
+            VerifyError::Replayed => sketch.replayed += 1.0,
+            VerifyError::Expired { .. } | VerifyError::NotYetValid => {}
+            _ => sketch.invalid += 1.0,
+        },
     }
 }
 
-/// Applies one accepted-solution observation to a sketch.
-fn apply_accepted(sketch: &mut ClientSketch, now_ms: u64) {
-    sketch.accepted += 1.0;
-    if let Some(issued) = sketch.last_challenge_ms.take() {
-        sketch.solve_ms.push(now_ms.saturating_sub(issued) as f64);
-    }
-}
-
-/// Applies one rejected-solution observation to a sketch (see the
-/// [`BehaviorSink::on_solution_batch`] impl for why expiry and clock skew are
-/// not counted as abuse).
-fn apply_rejected(sketch: &mut ClientSketch, err: &VerifyError) {
-    match err {
-        VerifyError::Replayed => sketch.replayed += 1.0,
-        VerifyError::Expired { .. } | VerifyError::NotYetValid => {}
-        _ => sketch.invalid += 1.0,
-    }
-}
-
-/// The tap is batch-first: the single-event methods are batches of one,
-/// so every sketch-update rule is written once, in
-/// [`on_request_batch`](BehaviorSink::on_request_batch) and
-/// [`on_solution_batch`](BehaviorSink::on_solution_batch).
 impl BehaviorSink for BehaviorRecorder {
-    fn on_request(
-        &self,
-        ip: IpAddr,
-        now_ms: u64,
-        score: ReputationScore,
-        difficulty: Option<Difficulty>,
-    ) {
-        self.on_request_batch(
-            now_ms,
-            &[RequestObservation {
-                ip,
-                score,
-                difficulty,
-            }],
-        );
-    }
-
     fn on_rate_limited(&self, ip: IpAddr, now_ms: u64) {
         // A limiter rejection is still an arrival: the heaviest flooders
         // are exactly the clients whose requests mostly die at the
@@ -403,97 +383,61 @@ impl BehaviorSink for BehaviorRecorder {
         });
     }
 
-    fn on_solution(&self, ip: IpAddr, now_ms: u64, outcome: Result<Difficulty, &VerifyError>) {
-        self.on_solution_batch(now_ms, &[SolutionObservation { ip, outcome }]);
-    }
-
-    /// Each observation updates `ip`'s decayed sketch, creating it if
-    /// absent and evicting the shard's least-recently-seen sketch when
-    /// the shard is at capacity.
+    /// Each event updates its client's decayed sketch. Requests and
+    /// accepted solutions create the sketch if absent, evicting the
+    /// shard's least-recently-seen sketch when the shard is at capacity;
+    /// an accepted solution was *paid for* in hashes, so neither is a
+    /// spammable state-creation primitive. Rejected solutions update only
+    /// *existing* sketches: SubmitSolution is not rate-limited (the
+    /// client supposedly already paid), so letting a garbage solution
+    /// create a sketch — one whose abuse weight makes it eviction-sticky
+    /// — would let an address-cycling attacker fill the table with junk
+    /// that displaces idle honest clients' history for free. A pure
+    /// solution-spammer with no admitted request leaves no state; the
+    /// verifier already rejects it cheaply.
     ///
     /// One lock acquisition per recorder shard per batch; within a
-    /// shard, observations apply in their original batch order. The
-    /// per-shard eviction protocol
+    /// shard, events apply in their original batch order. The per-shard
+    /// eviction protocol
     /// ([`ShardHandle::update_or_insert_evicting`](aipow_shard::ShardHandle::update_or_insert_evicting))
     /// bounds the victim scan by `capacity / shard_count` — the tap sits
     /// on the admission hot path, and an attacker cycling source
     /// addresses drives exactly the insert-at-capacity case, so an
     /// all-shard victim scan here would hand the flood a per-request
     /// O(capacity) amplifier.
-    fn on_request_batch(&self, now_ms: u64, batch: &[RequestObservation]) {
-        self.total_requests.add(batch.len() as u64);
+    fn on_events(&self, events: &[AuditEvent]) {
         let half_life = self.half_life_ms;
+        let mut requests = 0u64;
         let mut evicted_count = 0u64;
-        let items: Vec<(IpAddr, Option<Difficulty>)> =
-            batch.iter().map(|obs| (obs.ip, obs.difficulty)).collect();
+        let items: Vec<(IpAddr, &AuditEvent)> = events
+            .iter()
+            .map(|event| (event.client_ip, event))
+            .collect();
         self.sketches
-            .with_shards_grouped(items, |shard, ip, difficulty| {
+            .with_shards_grouped(items, |shard, ip, event| {
+                let apply = |sketch: &mut ClientSketch| apply_event(sketch, event, half_life);
+                match event.kind {
+                    AuditKind::SolutionRejected { .. } => {
+                        if let Some(sketch) = shard.get_mut(&ip) {
+                            apply(sketch);
+                        }
+                        return;
+                    }
+                    AuditKind::ChallengeIssued { .. } | AuditKind::Bypassed { .. } => requests += 1,
+                    AuditKind::SolutionAccepted { .. } => {}
+                }
                 let (_, evicted) = shard.update_or_insert_evicting(
                     ip,
                     self.per_shard_capacity,
                     |sketch: &ClientSketch| eviction_score(sketch, half_life),
-                    || ClientSketch::new(now_ms),
-                    |sketch| {
-                        bump(sketch, now_ms, half_life);
-                        apply_request(sketch, now_ms, difficulty);
-                    },
+                    || ClientSketch::new(event.at_ms),
+                    apply,
                 );
-                if evicted {
-                    evicted_count += 1;
-                }
+                evicted_count += u64::from(evicted);
             });
-        if evicted_count > 0 {
-            self.evicted.add(evicted_count);
+        if requests > 0 {
+            self.total_requests.add(requests);
         }
-    }
-
-    fn on_solution_batch(&self, now_ms: u64, batch: &[SolutionObservation<'_>]) {
-        let half_life = self.half_life_ms;
-        let mut evicted_count = 0u64;
-        let items: Vec<(IpAddr, Result<Difficulty, &VerifyError>)> =
-            batch.iter().map(|obs| (obs.ip, obs.outcome)).collect();
-        self.sketches
-            .with_shards_grouped(items, |shard, ip, outcome| {
-                match outcome {
-                    // An accepted solution may create a sketch: admission
-                    // was *paid for* in hashes, so this is not a spammable
-                    // state-creation primitive.
-                    Ok(_) => {
-                        let (_, evicted) = shard.update_or_insert_evicting(
-                            ip,
-                            self.per_shard_capacity,
-                            |sketch: &ClientSketch| eviction_score(sketch, half_life),
-                            || ClientSketch::new(now_ms),
-                            |sketch| {
-                                bump(sketch, now_ms, half_life);
-                                apply_accepted(sketch, now_ms);
-                            },
-                        );
-                        if evicted {
-                            evicted_count += 1;
-                        }
-                    }
-                    // Failed solutions update only *existing* sketches.
-                    // SubmitSolution is not rate-limited (the client
-                    // supposedly already paid), so letting a garbage
-                    // solution create a sketch — one whose abuse weight
-                    // makes it eviction-sticky — would let an
-                    // address-cycling attacker fill the table with junk
-                    // that displaces idle honest clients' history for
-                    // free. A pure solution-spammer with no admitted
-                    // request leaves no state; the verifier already
-                    // rejects it cheaply. (Expiry and clock skew are not
-                    // abuse — see `apply_rejected`: an honest-but-slow
-                    // client must read as abandonment, or slow clients
-                    // spiral toward max difficulty.)
-                    Err(e) => {
-                        if let Some(sketch) = shard.get_mut(&ip) {
-                            bump(sketch, now_ms, half_life);
-                            apply_rejected(sketch, e);
-                        }
-                    }
-                }
-            });
         if evicted_count > 0 {
             self.evicted.add(evicted_count);
         }
@@ -503,6 +447,8 @@ impl BehaviorSink for BehaviorRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aipow_pow::Difficulty;
+    use aipow_reputation::ReputationScore;
     use std::net::Ipv4Addr;
 
     fn ip(last: u8) -> IpAddr {
@@ -517,15 +463,45 @@ mod tests {
         }
     }
 
-    fn bits(n: u8) -> Difficulty {
-        Difficulty::new(n).unwrap()
+    fn event(ip: IpAddr, at_ms: u64, kind: AuditKind) -> AuditEvent {
+        AuditEvent {
+            at_ms,
+            client_ip: ip,
+            kind,
+        }
+    }
+
+    fn issued(ip: IpAddr, at_ms: u64) -> AuditEvent {
+        let kind = AuditKind::ChallengeIssued {
+            score: ReputationScore::MIN,
+            difficulty: Difficulty::new(5).unwrap(),
+        };
+        event(ip, at_ms, kind)
+    }
+
+    fn bypassed(ip: IpAddr, at_ms: u64) -> AuditEvent {
+        let kind = AuditKind::Bypassed {
+            score: ReputationScore::MIN,
+        };
+        event(ip, at_ms, kind)
+    }
+
+    fn accepted(ip: IpAddr, at_ms: u64) -> AuditEvent {
+        let kind = AuditKind::SolutionAccepted {
+            difficulty: Difficulty::new(5).unwrap(),
+        };
+        event(ip, at_ms, kind)
+    }
+
+    fn rejected(ip: IpAddr, at_ms: u64, error: VerifyError) -> AuditEvent {
+        event(ip, at_ms, AuditKind::SolutionRejected { error })
     }
 
     #[test]
     fn requests_accumulate_and_decay() {
         let r = BehaviorRecorder::new(&settings(1_000));
         for t in 0..10u64 {
-            r.on_request(ip(1), t * 100, ReputationScore::MIN, Some(bits(5)));
+            r.on_events(&[issued(ip(1), t * 100)]);
         }
         let fresh = r.sketch(ip(1), 900).unwrap();
         assert!(fresh.requests > 5.0, "requests {}", fresh.requests);
@@ -543,7 +519,7 @@ mod tests {
         let r = BehaviorRecorder::new(&settings(2_000));
         // 50 requests/s for 10 s (well past the 2 s half-life).
         for i in 0..500u64 {
-            r.on_request(ip(2), i * 20, ReputationScore::MIN, Some(bits(5)));
+            r.on_events(&[issued(ip(2), i * 20)]);
         }
         let sketch = r.sketch(ip(2), 500 * 20).unwrap();
         let rate = sketch.rate_hz().unwrap();
@@ -558,8 +534,8 @@ mod tests {
         let r = BehaviorRecorder::new(&settings(60_000));
         // A diligent client: every challenge solved.
         for t in 0..20u64 {
-            r.on_request(ip(3), t * 100, ReputationScore::MIN, Some(bits(5)));
-            r.on_solution(ip(3), t * 100 + 50, Ok(bits(5)));
+            r.on_events(&[issued(ip(3), t * 100)]);
+            r.on_events(&[accepted(ip(3), t * 100 + 50)]);
         }
         let good = r.sketch(ip(3), 2_000).unwrap();
         assert!(good.abandon_ratio() < 0.05, "{}", good.abandon_ratio());
@@ -568,16 +544,16 @@ mod tests {
 
         // A flooder: challenges, never a solution.
         for t in 0..20u64 {
-            r.on_request(ip(4), t * 100, ReputationScore::MAX, Some(bits(5)));
+            r.on_events(&[issued(ip(4), t * 100)]);
         }
         let flood = r.sketch(ip(4), 2_000).unwrap();
         assert!(flood.abandon_ratio() > 0.9, "{}", flood.abandon_ratio());
 
         // An invalid-spammer: one admitted request (which creates the
         // sketch), then garbage solutions only.
-        r.on_request(ip(5), 0, ReputationScore::MAX, Some(bits(5)));
+        r.on_events(&[issued(ip(5), 0)]);
         for t in 0..20u64 {
-            r.on_solution(ip(5), t * 100, Err(&VerifyError::BadMac));
+            r.on_events(&[rejected(ip(5), t * 100, VerifyError::BadMac)]);
         }
         let spam = r.sketch(ip(5), 2_000).unwrap();
         assert_eq!(spam.invalid_ratio(), 1.0);
@@ -603,13 +579,13 @@ mod tests {
             half_life_ms: 60_000,
             ..Default::default()
         });
-        r.on_request(ip(66), 0, ReputationScore::MAX, Some(bits(5)));
+        r.on_events(&[issued(ip(66), 0)]);
         for t in 0..10u64 {
-            r.on_solution(ip(66), t, Err(&VerifyError::BadMac));
+            r.on_events(&[rejected(ip(66), t, VerifyError::BadMac)]);
         }
         // Table turnover: many fresh clean clients arrive later.
         for i in 0..50u8 {
-            r.on_request(ip(i), 1_000 + i as u64, ReputationScore::MIN, Some(bits(5)));
+            r.on_events(&[issued(ip(i), 1_000 + i as u64)]);
         }
         assert_eq!(r.len(), 4);
         assert!(
@@ -645,7 +621,7 @@ mod tests {
         // A flooder whose requests mostly die at the limiter must still
         // read as a flooder: rejected arrivals feed the rate estimate.
         let r = BehaviorRecorder::new(&settings(10_000));
-        r.on_request(ip(10), 0, ReputationScore::MIN, Some(bits(5)));
+        r.on_events(&[issued(ip(10), 0)]);
         for i in 1..200u64 {
             r.on_rate_limited(ip(10), i * 10);
         }
@@ -665,17 +641,14 @@ mod tests {
         // clients spiral toward max difficulty.
         let r = BehaviorRecorder::new(&settings(60_000));
         for t in 0..10u64 {
-            r.on_request(ip(8), t * 1_000, ReputationScore::MIN, Some(bits(20)));
-            r.on_solution(
-                ip(8),
-                t * 1_000 + 500,
-                Err(&VerifyError::Expired {
-                    expired_at_ms: t * 1_000 + 100,
-                    now_ms: t * 1_000 + 500,
-                }),
-            );
+            r.on_events(&[issued(ip(8), t * 1_000)]);
+            let expired = VerifyError::Expired {
+                expired_at_ms: t * 1_000 + 100,
+                now_ms: t * 1_000 + 500,
+            };
+            r.on_events(&[rejected(ip(8), t * 1_000 + 500, expired)]);
         }
-        r.on_solution(ip(8), 10_000, Err(&VerifyError::NotYetValid));
+        r.on_events(&[rejected(ip(8), 10_000, VerifyError::NotYetValid)]);
         let s = r.sketch(ip(8), 10_000).unwrap();
         assert_eq!(s.abuse_weight(), 0.0);
         assert_eq!(s.invalid_ratio(), 0.0);
@@ -685,9 +658,9 @@ mod tests {
     #[test]
     fn replay_counts_separately_from_invalid() {
         let r = BehaviorRecorder::new(&settings(60_000));
-        r.on_request(ip(6), 0, ReputationScore::MIN, Some(bits(5)));
-        r.on_solution(ip(6), 0, Err(&VerifyError::Replayed));
-        r.on_solution(ip(6), 1, Err(&VerifyError::BadMac));
+        r.on_events(&[issued(ip(6), 0)]);
+        r.on_events(&[rejected(ip(6), 0, VerifyError::Replayed)]);
+        r.on_events(&[rejected(ip(6), 1, VerifyError::BadMac)]);
         let s = r.sketch(ip(6), 1).unwrap();
         assert!(s.replayed > 0.9);
         assert!(s.invalid > 0.9);
@@ -698,7 +671,7 @@ mod tests {
     fn gap_sketch_records_interarrival_jitter() {
         let r = BehaviorRecorder::new(&settings(60_000));
         for t in [0u64, 100, 300, 400, 600] {
-            r.on_request(ip(7), t, ReputationScore::MIN, Some(bits(5)));
+            r.on_events(&[issued(ip(7), t)]);
         }
         let s = r.sketch(ip(7), 600).unwrap();
         assert_eq!(s.gap_ms.count(), 4);
@@ -714,17 +687,17 @@ mod tests {
             shard_count: Some(1),
             ..Default::default()
         });
-        r.on_request(ip(1), 100, ReputationScore::MIN, Some(bits(5)));
-        r.on_request(ip(2), 200, ReputationScore::MIN, Some(bits(5)));
-        r.on_request(ip(3), 300, ReputationScore::MIN, Some(bits(5)));
+        r.on_events(&[issued(ip(1), 100)]);
+        r.on_events(&[issued(ip(2), 200)]);
+        r.on_events(&[issued(ip(3), 300)]);
         // ip(1) is oldest; a fourth client displaces it.
-        r.on_request(ip(4), 400, ReputationScore::MIN, Some(bits(5)));
+        r.on_events(&[issued(ip(4), 400)]);
         assert_eq!(r.len(), 3);
         assert!(r.sketch(ip(1), 400).is_none());
         assert!(r.sketch(ip(4), 400).is_some());
         assert_eq!(r.evicted(), 1);
         // Touching a tracked client at capacity never evicts.
-        r.on_request(ip(2), 500, ReputationScore::MIN, Some(bits(5)));
+        r.on_events(&[issued(ip(2), 500)]);
         assert_eq!(r.evicted(), 1);
         assert_eq!(r.len(), 3);
     }
@@ -741,7 +714,7 @@ mod tests {
         });
         for i in 0..2_000u32 {
             let ip = IpAddr::V4(Ipv4Addr::new(10, (i >> 16) as u8, (i >> 8) as u8, i as u8));
-            r.on_request(ip, i as u64, ReputationScore::MAX, Some(bits(5)));
+            r.on_events(&[issued(ip, i as u64)]);
         }
         assert!(r.len() <= 32, "population {} over capacity", r.len());
         assert_eq!(r.evicted() + r.len() as u64, 2_000);
@@ -760,7 +733,7 @@ mod tests {
         });
         assert_eq!(r.shard_count(), 1);
         for i in 0..100u8 {
-            r.on_request(ip(i), i as u64, ReputationScore::MIN, Some(bits(5)));
+            r.on_events(&[issued(ip(i), i as u64)]);
         }
         assert!(r.len() <= 8, "population {} over capacity 8", r.len());
     }
@@ -768,8 +741,8 @@ mod tests {
     #[test]
     fn prune_forgets_fully_decayed_clients() {
         let r = BehaviorRecorder::new(&settings(1_000));
-        r.on_request(ip(1), 0, ReputationScore::MIN, Some(bits(5)));
-        r.on_request(ip(2), 20_000, ReputationScore::MIN, Some(bits(5)));
+        r.on_events(&[issued(ip(1), 0)]);
+        r.on_events(&[issued(ip(2), 20_000)]);
         // At t=20s, ip(1) has decayed through 20 half-lives.
         let pruned = r.prune(20_000, 0.01);
         assert_eq!(pruned, 1);
@@ -787,7 +760,7 @@ mod tests {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
                     for i in 0..1_000u64 {
-                        r.on_request(ip(t), i, ReputationScore::MIN, Some(bits(5)));
+                        r.on_events(&[issued(ip(t), i)]);
                     }
                 })
             })
@@ -809,45 +782,34 @@ mod tests {
     fn batched_taps_produce_identical_sketches_to_single_taps() {
         let single = BehaviorRecorder::new(&settings(10_000));
         let batched = BehaviorRecorder::new(&settings(10_000));
-        let err = VerifyError::BadMac;
 
-        // A mixed burst: requests for three clients, then solutions
-        // (accepted, rejected, and rejected-for-unknown-client).
-        let requests: Vec<RequestObservation> = (0..12u8)
-            .map(|i| RequestObservation {
-                ip: ip(i % 3),
-                score: ReputationScore::MIN,
-                difficulty: if i % 4 == 0 { None } else { Some(bits(5)) },
+        // One mixed batch: requests (challenged and bypassed) for three
+        // clients, then accepted and rejected solutions, including a
+        // rejection for a never-seen client, which must create no sketch.
+        let mut events: Vec<AuditEvent> = (0..12u8)
+            .map(|i| match i % 4 {
+                0 => bypassed(ip(i % 3), 1_000 + u64::from(i)),
+                _ => issued(ip(i % 3), 1_000 + u64::from(i)),
             })
             .collect();
-        let solutions = [
-            SolutionObservation {
-                ip: ip(0),
-                outcome: Ok(bits(5)),
-            },
-            SolutionObservation {
-                ip: ip(1),
-                outcome: Err(&err),
-            },
-            SolutionObservation {
-                ip: ip(99), // never requested: must not create state
-                outcome: Err(&err),
-            },
-        ];
+        events.extend([
+            accepted(ip(0), 1_500),
+            rejected(ip(1), 1_500, VerifyError::BadMac),
+            rejected(ip(2), 1_600, VerifyError::Replayed),
+            rejected(ip(99), 1_600, VerifyError::BadMac),
+        ]);
 
-        for obs in &requests {
-            single.on_request(obs.ip, 1_000, obs.score, obs.difficulty);
+        for event in &events {
+            single.on_events(std::slice::from_ref(event));
         }
-        for obs in &solutions {
-            single.on_solution(obs.ip, 1_500, obs.outcome);
-        }
-        batched.on_request_batch(1_000, &requests);
-        batched.on_solution_batch(1_500, &solutions);
-        batched.on_request_batch(1_500, &[]);
+        batched.on_events(&events);
+        batched.on_events(&[]);
 
+        assert_eq!(batched.total_requests(), 12);
         assert_eq!(batched.total_requests(), single.total_requests());
         assert_eq!(batched.len(), single.len());
         assert_eq!(batched.len(), 3, "unknown client created no sketch");
+        assert!(batched.sketch(ip(99), 2_000).is_none());
         for i in 0..3u8 {
             let a = single.sketch(ip(i), 2_000).unwrap();
             let b = batched.sketch(ip(i), 2_000).unwrap();
@@ -862,18 +824,12 @@ mod tests {
             shard_count: Some(1),
             ..Default::default()
         });
-        let burst: Vec<RequestObservation> = (1..=4u8)
-            .map(|i| RequestObservation {
-                ip: ip(i),
-                score: ReputationScore::MIN,
-                difficulty: Some(bits(5)),
-            })
-            .collect();
-        // Observations carry increasing recency within the batch via
-        // order; all share one timestamp, so the eviction victim is the
-        // shard's least-recently-seen — ip(1..3) tie on last_seen, and
-        // exactly one of them is displaced by ip(4).
-        r.on_request_batch(100, &burst);
+        let burst: Vec<AuditEvent> = (1..=4u8).map(|i| issued(ip(i), 100)).collect();
+        // Events carry increasing recency within the batch via order; all
+        // share one timestamp, so the eviction victim is the shard's
+        // least-recently-seen — ip(1..3) tie on last_seen, and exactly one
+        // of them is displaced by ip(4).
+        r.on_events(&burst);
         assert_eq!(r.len(), 3);
         assert_eq!(r.evicted(), 1);
         assert!(r.sketch(ip(4), 100).is_some(), "newest client retained");

@@ -143,13 +143,34 @@ impl core::fmt::Debug for BehavioralFeatureSource {
 mod tests {
     use super::*;
     use aipow_core::tap::BehaviorSink;
-    use aipow_core::StaticFeatureSource;
+    use aipow_core::{AuditEvent, AuditKind, StaticFeatureSource};
     use aipow_pow::{Difficulty, ManualClock, VerifyError};
     use aipow_reputation::ReputationScore;
     use std::net::Ipv4Addr;
 
     fn ip(last: u8) -> IpAddr {
         IpAddr::V4(Ipv4Addr::new(198, 18, 1, last))
+    }
+
+    fn issued(ip: IpAddr, at_ms: u64) -> AuditEvent {
+        let kind = AuditKind::ChallengeIssued {
+            score: ReputationScore::MAX,
+            difficulty: Difficulty::new(5).unwrap(),
+        };
+        AuditEvent {
+            at_ms,
+            client_ip: ip,
+            kind,
+        }
+    }
+
+    fn rejected(ip: IpAddr, at_ms: u64, error: VerifyError) -> AuditEvent {
+        let kind = AuditKind::SolutionRejected { error };
+        AuditEvent {
+            at_ms,
+            client_ip: ip,
+            kind,
+        }
     }
 
     fn prior_vector() -> FeatureVector {
@@ -192,12 +213,7 @@ mod tests {
         let (recorder, source, clock) = setup(10_000, 16.0);
         // 100 rps flood, never solving.
         for i in 0..2_000u64 {
-            recorder.on_request(
-                ip(2),
-                i * 10,
-                ReputationScore::MAX,
-                Some(Difficulty::new(5).unwrap()),
-            );
+            recorder.on_events(&[issued(ip(2), i * 10)]);
         }
         clock.set(2_000 * 10);
         let f = source.features_for(ip(2));
@@ -213,14 +229,9 @@ mod tests {
         let (recorder, source, clock) = setup(10_000, 8.0);
         // One admitted request creates the sketch (failed solutions
         // alone never do); the spam then accrues against it.
-        recorder.on_request(
-            ip(3),
-            0,
-            ReputationScore::MAX,
-            Some(Difficulty::new(5).unwrap()),
-        );
+        recorder.on_events(&[issued(ip(3), 0)]);
         for i in 0..50u64 {
-            recorder.on_solution(ip(3), i * 10, Err(&VerifyError::BadMac));
+            recorder.on_events(&[rejected(ip(3), i * 10, VerifyError::BadMac)]);
         }
         clock.set(500);
         let f = source.features_for(ip(3));
@@ -241,12 +252,7 @@ mod tests {
         let mut last_abandon = f64::NEG_INFINITY;
         for i in 0..500u64 {
             let now = i * 20;
-            recorder.on_request(
-                ip(4),
-                now,
-                ReputationScore::MAX,
-                Some(Difficulty::new(5).unwrap()),
-            );
+            recorder.on_events(&[issued(ip(4), now)]);
             let f = source.features_at(ip(4), now);
             assert!(
                 f.get(0) >= last_rate - 1e-9,
@@ -264,12 +270,7 @@ mod tests {
     fn redemption_decays_back_to_the_prior() {
         let (recorder, source, clock) = setup(1_000, 16.0);
         for i in 0..200u64 {
-            recorder.on_request(
-                ip(5),
-                i * 10,
-                ReputationScore::MAX,
-                Some(Difficulty::new(5).unwrap()),
-            );
+            recorder.on_events(&[issued(ip(5), i * 10)]);
         }
         clock.set(2_000);
         let hot = source.features_for(ip(5));
@@ -290,12 +291,7 @@ mod tests {
     #[test]
     fn zero_prior_strength_trusts_observation_immediately() {
         let (recorder, source, clock) = setup(10_000, 0.0);
-        recorder.on_request(
-            ip(6),
-            0,
-            ReputationScore::MIN,
-            Some(Difficulty::new(5).unwrap()),
-        );
+        recorder.on_events(&[issued(ip(6), 0)]);
         clock.set(1);
         let f = source.features_for(ip(6));
         // confidence = 1 after a single event: lane 1 is fully observed.

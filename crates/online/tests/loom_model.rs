@@ -8,7 +8,7 @@
 #![cfg(feature = "loom-model")]
 
 use aipow_core::tap::BehaviorSink;
-use aipow_core::OnlineSettings;
+use aipow_core::{AuditEvent, AuditKind, OnlineSettings};
 use aipow_online::BehaviorRecorder;
 use aipow_reputation::ReputationScore;
 use std::net::IpAddr;
@@ -16,6 +16,18 @@ use std::sync::Arc;
 
 fn settings() -> OnlineSettings {
     OnlineSettings::default()
+}
+
+/// A bypass admission of `ip` at t = 1 000 ms.
+fn bypassed(ip: IpAddr) -> [AuditEvent; 1] {
+    let kind = AuditKind::Bypassed {
+        score: ReputationScore::MIN,
+    };
+    [AuditEvent {
+        at_ms: 1_000,
+        client_ip: ip,
+        kind,
+    }]
 }
 
 /// Two threads observing different clients: both sketches exist
@@ -29,9 +41,9 @@ fn recorder_conserves_racing_observations_for_distinct_clients() {
         let ip_a: IpAddr = "203.0.113.9".parse().expect("fixture ip: invariant");
         let ip_b: IpAddr = "203.0.113.10".parse().expect("fixture ip: invariant");
         let racer = loom::thread::spawn(move || {
-            other.on_request(ip_b, 1_000, ReputationScore::MIN, None);
+            other.on_events(&bypassed(ip_b));
         });
-        recorder.on_request(ip_a, 1_000, ReputationScore::MIN, None);
+        recorder.on_events(&bypassed(ip_a));
         racer.join().expect("model thread join: invariant");
         assert_eq!(recorder.len(), 2, "one sketch per observed client");
         assert_eq!(recorder.total_requests(), 2);
@@ -50,9 +62,9 @@ fn recorder_merges_racing_observations_for_one_client() {
         let other = Arc::clone(&recorder);
         let ip: IpAddr = "203.0.113.9".parse().expect("fixture ip: invariant");
         let racer = loom::thread::spawn(move || {
-            other.on_request(ip, 1_000, ReputationScore::MIN, None);
+            other.on_events(&bypassed(ip));
         });
-        recorder.on_request(ip, 1_000, ReputationScore::MIN, None);
+        recorder.on_events(&bypassed(ip));
         racer.join().expect("model thread join: invariant");
         assert_eq!(recorder.len(), 1, "racing creators merge to one sketch");
         assert_eq!(recorder.total_requests(), 2);

@@ -32,8 +32,7 @@ use aipow_crypto::sha256_wide;
 use core::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Identifies a puzzle backend on challenges, solutions, stamps, and wire
-/// frames.
+/// Identifies a puzzle backend on challenges, solutions, and wire frames.
 ///
 /// The id space is open — any byte decodes — so an unknown id is rejected by
 /// the verifier (a typed error), never by the codec (a parse failure).
@@ -266,9 +265,8 @@ impl PuzzleBackend for MemoryHardBackend {
 /// The set of backends a component dispatches through, keyed by
 /// [`BackendId`].
 ///
-/// The issuer, solver, and verifier all resolve ids against a registry;
-/// [`BackendRegistry::global`] (both standard backends) serves unless a
-/// caller wires an explicit one. Lookup of an id the registry does not
+/// The issuer, solver, and verifier all resolve ids against
+/// [`BackendRegistry::global`] (both standard backends). Lookup of an id the registry does not
 /// carry is how "unknown backend" is detected — and rejected with a typed
 /// error rather than a panic or a decode failure.
 #[derive(Clone)]

@@ -241,7 +241,7 @@ impl NonceWidth {
         match self {
             NonceWidth::U32 => {
                 let n32 = u32::try_from(nonce)
-                    .expect("width invariant: U32-width stamps carry u32-range nonces");
+                    .expect("width invariant: U32-width solutions carry u32-range nonces");
                 n32.to_be_bytes().to_vec()
             }
             NonceWidth::U64 => nonce.to_be_bytes().to_vec(),
@@ -253,14 +253,6 @@ impl NonceWidth {
         match self {
             NonceWidth::U32 => nonce <= u32::MAX as u64,
             NonceWidth::U64 => true,
-        }
-    }
-
-    /// The maximum nonce representable at this width.
-    pub fn max_nonce(&self) -> u64 {
-        match self {
-            NonceWidth::U32 => u32::MAX as u64,
-            NonceWidth::U64 => u64::MAX,
         }
     }
 }

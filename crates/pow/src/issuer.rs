@@ -54,8 +54,6 @@ pub struct Issuer {
     next_seed: AtomicU64,
     ttl_ms: u64,
     clock: Arc<dyn TimeSource>,
-    /// Backends this issuer may mint challenges for.
-    registry: Arc<BackendRegistry>,
     /// Configured per-backend challenge parameters (the memory-hard arena
     /// MiB); backends not listed use their registry default.
     backend_params: Vec<(BackendId, u8)>,
@@ -83,7 +81,6 @@ impl Issuer {
             next_seed: AtomicU64::new(0),
             ttl_ms: DEFAULT_TTL_MS,
             clock,
-            registry: Arc::new(BackendRegistry::standard()),
             backend_params: Vec::new(),
         }
     }
@@ -92,13 +89,6 @@ impl Issuer {
     /// chaining.
     pub fn with_ttl_ms(mut self, ttl_ms: u64) -> Self {
         self.ttl_ms = ttl_ms;
-        self
-    }
-
-    /// Replaces the backend registry this issuer mints against (e.g. to
-    /// add an experimental backend).
-    pub fn with_backends(mut self, registry: Arc<BackendRegistry>) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -113,8 +103,7 @@ impl Issuer {
     /// serve --arena-mib` does so with a usage error before reaching
     /// this).
     pub fn with_backend_param(mut self, backend: BackendId, param: u8) -> Self {
-        let registered = self
-            .registry
+        let registered = BackendRegistry::global()
             .get(backend)
             // lint:allow(no-unwrap) configuration invariant: builder-time
             // misuse, panics before any request is served
@@ -246,11 +235,10 @@ impl Issuer {
         now_ms: u64,
         seed: [u8; SEED_LEN],
     ) -> Challenge {
-        let registered = self
-            .registry
+        let registered = BackendRegistry::global()
             .get(backend)
             // lint:allow(no-unwrap) routing invariant: only ids from this
-            // issuer's own registry (the default route or a router vetted
+            // standard registry (the default route or a router vetted
             // by config validation) reach the mint path
             .unwrap_or_else(|| panic!("issuer routing: unknown backend {backend}"));
         Challenge::from_parts_backend(

@@ -20,11 +20,6 @@ impl Target {
     /// The easiest target: every digest qualifies.
     pub const EASIEST: Target = Target(u64::MAX);
 
-    /// Creates a target from a raw threshold.
-    pub fn from_raw(threshold: u64) -> Self {
-        Target(threshold)
-    }
-
     /// The raw threshold value.
     pub fn raw(&self) -> u64 {
         self.0

@@ -152,6 +152,50 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+impl VerifyError {
+    /// The stable metric label of every variant, in [`index`](Self::index)
+    /// order.
+    pub const LABELS: [&'static str; 12] = [
+        "unsupported_version",
+        "unknown_backend",
+        "backend_mismatch",
+        "invalid_backend_param",
+        "difficulty_too_high",
+        "bad_mac",
+        "client_mismatch",
+        "not_yet_valid",
+        "expired",
+        "replayed",
+        "insufficient_work",
+        "malformed_nonce",
+    ];
+
+    /// The variant's slot in [`LABELS`](Self::LABELS). The match is
+    /// exhaustive, so a new variant does not compile until it has a slot
+    /// and a label.
+    pub fn index(&self) -> usize {
+        match self {
+            VerifyError::UnsupportedVersion { .. } => 0,
+            VerifyError::UnknownBackend { .. } => 1,
+            VerifyError::BackendMismatch { .. } => 2,
+            VerifyError::InvalidBackendParam { .. } => 3,
+            VerifyError::DifficultyTooHigh { .. } => 4,
+            VerifyError::BadMac => 5,
+            VerifyError::ClientMismatch => 6,
+            VerifyError::NotYetValid => 7,
+            VerifyError::Expired { .. } => 8,
+            VerifyError::Replayed => 9,
+            VerifyError::InsufficientWork { .. } => 10,
+            VerifyError::MalformedNonce => 11,
+        }
+    }
+
+    /// The variant's stable metric label.
+    pub fn label(&self) -> &'static str {
+        Self::LABELS[self.index()]
+    }
+}
+
 /// Proof that a solution was accepted: handed to the resource layer, which
 /// releases the response to the client (paper Figure 1, steps 6–7).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,9 +235,6 @@ pub struct Verifier {
     clock: Arc<dyn TimeSource>,
     max_skew_ms: u64,
     difficulty_cap: Difficulty,
-    /// Puzzle backends this verifier accepts; challenges naming any other
-    /// id are rejected with [`VerifyError::UnknownBackend`].
-    registry: Arc<BackendRegistry>,
     /// Lane width for batched hash work (MACs and work digests) in
     /// [`PreparedVerify::verify_many`]: 1 forces the scalar path, 4/8
     /// select the multi-buffer kernel width. Fixed at construction; it is
@@ -217,17 +258,8 @@ impl Verifier {
             clock,
             max_skew_ms: DEFAULT_MAX_SKEW_MS,
             difficulty_cap: Difficulty::saturating(40),
-            registry: Arc::new(BackendRegistry::standard()),
             verify_lanes: sha256_wide::auto_lanes(),
         }
-    }
-
-    /// Replaces the accepted puzzle-backend registry (defaults to the
-    /// standard registry: SHA-256 and memory-hard). Must cover every
-    /// backend the paired [`Issuer`](crate::Issuer) routes to.
-    pub fn with_backends(mut self, registry: Arc<BackendRegistry>) -> Self {
-        self.registry = registry;
-        self
     }
 
     /// Replaces the replay guard (e.g. to size its capacity).
@@ -383,7 +415,7 @@ impl PreparedVerify<'_> {
                     got: challenge.version(),
                 }));
             } else if let Some(err) = {
-                match self.verifier.registry.get(challenge.backend()) {
+                match BackendRegistry::global().get(challenge.backend()) {
                     None => Some(VerifyError::UnknownBackend {
                         got: challenge.backend(),
                     }),
@@ -473,9 +505,7 @@ impl PreparedVerify<'_> {
         }
         let mut digests: Vec<Option<Digest>> = vec![None; workable.len()];
         for (id, positions) in &groups {
-            let backend = self
-                .verifier
-                .registry
+            let backend = BackendRegistry::global()
                 .get(*id)
                 .expect("staging invariant: unknown backends were rejected in stage 1");
             let params: Vec<u8> = positions
@@ -554,6 +584,40 @@ mod tests {
 
     const KEY: [u8; 32] = [21u8; 32];
 
+    #[test]
+    fn every_variant_has_its_own_label() {
+        use crate::backend::BackendId;
+        let d = Difficulty::new(5).unwrap();
+        let all = [
+            VerifyError::UnsupportedVersion { got: 9 },
+            VerifyError::UnknownBackend { got: BackendId(77) },
+            VerifyError::BackendMismatch {
+                challenge: BackendId::SHA256,
+                solution: BackendId::MEMORY_HARD,
+            },
+            VerifyError::InvalidBackendParam { got: 0 },
+            VerifyError::DifficultyTooHigh { got: d, cap: d },
+            VerifyError::BadMac,
+            VerifyError::ClientMismatch,
+            VerifyError::NotYetValid,
+            VerifyError::Expired {
+                expired_at_ms: 0,
+                now_ms: 1,
+            },
+            VerifyError::Replayed,
+            VerifyError::InsufficientWork {
+                got_bits: 0,
+                need_bits: 5,
+            },
+            VerifyError::MalformedNonce,
+        ];
+        assert_eq!(all.len(), VerifyError::LABELS.len());
+        for (slot, err) in all.iter().enumerate() {
+            assert_eq!(err.index(), slot, "{err:?}");
+            assert_eq!(err.label(), VerifyError::LABELS[slot]);
+        }
+    }
+
     fn ip() -> IpAddr {
         IpAddr::V4(Ipv4Addr::new(192, 0, 2, 10))
     }
@@ -603,13 +667,11 @@ mod tests {
                 got: challenge.version(),
             });
         }
-        let backend =
-            verifier
-                .registry
-                .get(challenge.backend())
-                .ok_or(VerifyError::UnknownBackend {
-                    got: challenge.backend(),
-                })?;
+        let backend = BackendRegistry::global().get(challenge.backend()).ok_or(
+            VerifyError::UnknownBackend {
+                got: challenge.backend(),
+            },
+        )?;
         if solution.backend != challenge.backend() {
             return Err(VerifyError::BackendMismatch {
                 challenge: challenge.backend(),

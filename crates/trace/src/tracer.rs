@@ -109,11 +109,6 @@ impl Tracer {
         instant.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    /// Nanoseconds since the tracer's epoch, right now.
-    pub fn now_ns(&self) -> u64 {
-        self.ns_since_epoch(Instant::now())
-    }
-
     /// Records a span. Spans with `trace_id == 0` (unsampled) are ignored;
     /// spans that lose the shard `try_lock` race are dropped and counted.
     pub fn record(&self, span: SpanEvent) {

@@ -9,7 +9,7 @@
 //!    evidence accumulates (confidence only ever grows while a client
 //!    stays active).
 
-use aipow::framework::{BehaviorSink, OnlineSettings, StaticFeatureSource};
+use aipow::framework::{AuditEvent, AuditKind, BehaviorSink, OnlineSettings, StaticFeatureSource};
 use aipow::online::{BehaviorRecorder, BehavioralFeatureSource};
 use aipow::pow::{Difficulty, ManualClock};
 use aipow::prelude::*;
@@ -17,6 +17,18 @@ use aipow::reputation::ReputationScore;
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
+
+fn issued(ip: IpAddr, at_ms: u64) -> AuditEvent {
+    let kind = AuditKind::ChallengeIssued {
+        score: ReputationScore::MAX,
+        difficulty: Difficulty::new(5).unwrap(),
+    };
+    AuditEvent {
+        at_ms,
+        client_ip: ip,
+        kind,
+    }
+}
 
 fn source_with_prior(
     prior: FeatureVector,
@@ -70,12 +82,7 @@ proptest! {
         let mut last_abandon = f64::NEG_INFINITY;
         for i in 0..events {
             let now = i as u64 * gap_ms;
-            recorder.on_request(
-                ip,
-                now,
-                ReputationScore::MAX,
-                Some(Difficulty::new(5).unwrap()),
-            );
+            recorder.on_events(&[issued(ip, now)]);
             let f = source.features_at(ip, now);
             // Monotone toward the observed values (which sit above the
             // prior for a flooder), within float tolerance.
@@ -112,12 +119,7 @@ fn converged_lanes_match_observed_behavior() {
     let (recorder, source) = source_with_prior(prior, 60_000, 8.0);
     let ip = IpAddr::V4(Ipv4Addr::new(203, 0, 113, 78));
     for i in 0..2_000u64 {
-        recorder.on_request(
-            ip,
-            i * 10,
-            ReputationScore::MAX,
-            Some(Difficulty::new(5).unwrap()),
-        );
+        recorder.on_events(&[issued(ip, i * 10)]);
     }
     let f = source.features_at(ip, 2_000 * 10);
     assert!((f.get(0) - 100.0).abs() < 5.0, "rate lane {}", f.get(0));
